@@ -18,7 +18,6 @@ from .classify import (
     CheckRow,
     ExpectedVerdict,
     Verdict,
-    classify,
     cross_check,
     expected_verdict,
     sweep,
@@ -42,7 +41,6 @@ from .irreps import (
 )
 from .partitions import (
     Partition,
-    SkewPair,
     canonical,
     conjugate,
     contains,

@@ -31,8 +31,8 @@ circle direction with the determinant direction of u(n), which both misses
 genuine collisions (the su-weight constructions of the source families) and
 invents spurious ones.
 
-All builders are pure; per-degree slices may be computed in parallel and
-merged, and entry lists are cached per (case, degree bound).
+All builders are pure, and omega entry lists are cached per (case, degree
+bound).
 """
 
 from __future__ import annotations
@@ -516,30 +516,38 @@ def tau_restriction(spec: CaseSpec, tau: TauSpec) -> FormalSum:
 # the product series
 
 
-def _slot_products(oe: OmegaEntry, te: TauEntry) -> Iterator[tuple[tuple[IrrepLabel, ...], int]]:
-    per_slot = [tensor_pair(a, b) for a, b in zip(oe.ulabels, te.ulabels)]
-    for combo in itertools.product(*[sorted(d.items(), key=lambda kv: kv[0].sort_key()) for d in per_slot]):
-        labs = tuple(lab for lab, _ in combo)
-        mult = 1
-        for _, m in combo:
-            mult *= m
-        yield labs, mult
-
-
-def omega_tensor_tau(spec: CaseSpec, tau: TauSpec, degree: int) -> FormalSum:
+def product_terms(
+    spec: CaseSpec, tau: TauSpec, degree: int, torus: tuple[int, ...] | None = None
+) -> Iterator[tuple[OmegaEntry, TauEntry, CompositeLabel, int]]:
     """
-    The truncated series omega (x) tau restricted to the torus-times-
-    intertwiner subgroup: torus characters add, u-slot factors are decomposed
-    by the oracle, multiplicities accumulate across all production routes.
+    Every production of the truncated series omega (x) tau restricted to the
+    torus-times-intertwiner subgroup, as ``(omega entry, tau entry, label,
+    multiplicity)``, omega entries in degree order: torus characters add and
+    u-slot factors are decomposed by the oracle.  With ``torus`` given, pairs
+    landing on any other torus vector are skipped before any decomposition.
     """
-    entries: dict[CompositeLabel, int] = {}
     tentries = tau_entries(spec, tau)
     for oe in omega_entries(spec, degree):
         for te in tentries:
-            torus = tuple(a + b for a, b in zip(oe.torus, te.torus))
-            for labs, mult in _slot_products(oe, te):
-                lab = CompositeLabel(torus, labs)
-                entries[lab] = entries.get(lab, 0) + te.mult * mult
+            t = tuple(a + b for a, b in zip(oe.torus, te.torus))
+            if torus is not None and t != torus:
+                continue
+            per_slot = [tensor_pair(a, b) for a, b in zip(oe.ulabels, te.ulabels)]
+            for combo in itertools.product(
+                *[sorted(d.items(), key=lambda kv: kv[0].sort_key()) for d in per_slot]
+            ):
+                mult = te.mult
+                for _, m in combo:
+                    mult *= m
+                yield oe, te, CompositeLabel(t, tuple(lab for lab, _ in combo)), mult
+
+
+def omega_tensor_tau(spec: CaseSpec, tau: TauSpec, degree: int) -> FormalSum:
+    """The truncated series omega (x) tau, multiplicities accumulated across
+    all production routes."""
+    entries: dict[CompositeLabel, int] = {}
+    for _, _, lab, mult in product_terms(spec, tau, degree):
+        entries[lab] = entries.get(lab, 0) + mult
     return FormalSum(entries, truncation=degree)
 
 
@@ -547,24 +555,11 @@ def production_routes(
     spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel
 ) -> list[dict]:
     """All (omega term, tau term) productions of ``target``, with multiplicities."""
-    routes = []
-    tentries = tau_entries(spec, tau)
-    for oe in omega_entries(spec, degree):
-        for te in tentries:
-            torus = tuple(a + b for a, b in zip(oe.torus, te.torus))
-            if torus != target.torus:
-                continue
-            for labs, mult in _slot_products(oe, te):
-                if labs == target.ulabels:
-                    routes.append(
-                        {
-                            "degree": oe.degree,
-                            "omega": dict(oe.params),
-                            "tau": dict(te.weights),
-                            "mult": te.mult * mult,
-                        }
-                    )
-    return routes
+    return [
+        {"degree": oe.degree, "omega": dict(oe.params), "tau": dict(te.weights), "mult": mult}
+        for oe, te, lab, mult in product_terms(spec, tau, degree, target.torus)
+        if lab.ulabels == target.ulabels
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ predicts commutativity.  Gaps are reported, never silently passed.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cases import (
@@ -27,11 +26,9 @@ from .cases import (
     CompositeLabel,
     TauSpec,
     factors,
-    omega_entries,
+    product_terms,
     production_routes,
     tau_candidates,
-    tau_entries,
-    _slot_products,
 )
 from .irreps import label_sort_key
 
@@ -120,18 +117,13 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
     """
     if degree is None:
         degree = deg_window(spec, tau)
-    tentries = tau_entries(spec, tau)
     counts: dict[CompositeLabel, int] = {}
     reached: dict[CompositeLabel, int] = {}
-    for oe in omega_entries(spec, degree):
-        for te in tentries:
-            torus = tuple(a + b for a, b in zip(oe.torus, te.torus))
-            for labs, mult in _slot_products(oe, te):
-                lab = CompositeLabel(torus, labs)
-                c = counts.get(lab, 0) + te.mult * mult
-                counts[lab] = c
-                if c >= 2 and lab not in reached:
-                    reached[lab] = oe.degree
+    for oe, _, lab, mult in product_terms(spec, tau, degree):
+        c = counts.get(lab, 0) + mult
+        counts[lab] = c
+        if c >= 2 and lab not in reached:
+            reached[lab] = oe.degree
     if not reached:
         return Verdict(False, degree)
     witness = min(reached, key=lambda lab: (reached[lab], label_sort_key(lab)))
@@ -231,14 +223,10 @@ def cross_check(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Chec
     return CheckRow(spec, tau, verdict, expected, consistency)
 
 
-def sweep(spec: CaseSpec, bound: int, degree: int, jobs: int = 1) -> list[CheckRow]:
-    """Cross-check every tau with factor weights of size <= bound; rows come
-    back in enumeration order regardless of completion order."""
-    taus = tau_candidates(spec, bound)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: cross_check(spec, t, degree), taus))
-    return [cross_check(spec, t, degree) for t in taus]
+def sweep(spec: CaseSpec, bound: int, degree: int) -> list[CheckRow]:
+    """Cross-check every tau with factor weights of size <= bound, in
+    enumeration order."""
+    return [cross_check(spec, t, degree) for t in tau_candidates(spec, bound)]
 
 
 def default_grid() -> list[CaseSpec]:

@@ -4,7 +4,7 @@ Command-line front end.
     multfree pieri 2 1 --s 2 --n 2          universal one-row rule
     multfree tensor sp 2 -- 2 1 -- 2        tensor decomposition (oracle)
     multfree classify I --n 2 --tau su2=1,sp=1 --degree 4
-    multfree verify-theorem1 --bound 2 --degree 6
+    multfree verify-theorem1 --bound 2 --degree 6 --cases I,VII
 
 Exit codes: 0 success/consistent, 1 inconsistency or bounded-certificate
 gap, 2 malformed input.  ``--json`` switches every command to a
@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 
-from . import cache as cache_mod
 from .cases import CaseSpec, case_spec, tau_spec
 from .classify import (
     CONSISTENT,
@@ -41,6 +40,16 @@ def _parse_int(text: str) -> int:
         return int(text)
     except ValueError as exc:
         raise InputError(f"not an integer: {text!r}") from exc
+
+
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parse_weight_groups(raw: list[str]) -> list[tuple[int, ...]]:
@@ -204,37 +213,15 @@ def cmd_classify(args) -> int:
     return 0 if row.consistency == CONSISTENT else 1
 
 
-_GRID_BY_CASE = {
-    "I": [("I", {"n": 2}), ("I", {"n": 3})],
-    "II": [("II", {"k1": 1, "k2": 1})],
-    "III": [("III", {"n": 1}), ("III", {"n": 2})],
-    "IV": [("IV", {"n": 2})],
-    "V": [("V", {"n": 3})],
-    "VI": [("VI", {"n": 3})],
-    "VII": [
-        ("VII", {"k": 1, "n": 0}),
-        ("VII", {"k": 1, "n": 1}),
-        ("VII", {"k": 2, "n": 0}),
-        ("VII", {"k": 2, "n": 1}),
-    ],
-    "VIII": [("VIII", {"m": (3,), "kn": ((1, 0),)})],
-    "IX": [("IX", {"n": 1}), ("IX", {"n": 2})],
-}
-
-
 def cmd_verify(args) -> int:
+    specs = default_grid()
     if args.cases:
         wanted = [c.strip().upper() for c in args.cases.split(",") if c.strip()]
-        specs = []
         for cid in wanted:
-            if cid not in _GRID_BY_CASE:
+            if all(s.case_id != cid for s in specs):
                 raise InputError(f"unknown case {cid!r}")
-            specs.extend(case_spec(c, **kw) for c, kw in _GRID_BY_CASE[cid])
-    else:
-        specs = default_grid()
-    rows = []
-    for spec in specs:
-        rows.extend(sweep(spec, args.bound, args.degree, jobs=args.jobs))
+        specs = [s for cid in wanted for s in specs if s.case_id == cid]
+    rows = [row for spec in specs for row in sweep(spec, args.bound, args.degree)]
     bad = [r for r in rows if r.consistency != CONSISTENT]
     summary = {
         "rows": len(rows),
@@ -268,15 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="multfree",
         description="Exact tensor decompositions and the multiplicity-freeness classifier.",
     )
-    parser.add_argument("--config", help="JSON config file (degree, cache, jobs)")
-    parser.add_argument("--cache", help="pair-decomposition cache file")
-    parser.add_argument("--no-cache", action="store_true", help="disable the persistent cache")
-    parser.add_argument("--jobs", type=int, default=None, help="worker threads for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pieri", help="decompose eta (x) eta_(s) in sp(n)")
     p.add_argument("parts", nargs="*", type=int, help="parts of eta")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_nonnegative, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pieri)
@@ -306,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, action="append", help="su-block size (repeatable, case VIII)")
     p.add_argument("--kn", action="append", help="su2-block 'k,n' (repeatable, case VIII)")
     p.add_argument("--tau", help="factor=weights,... in canonical factor order")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_nonnegative, default=None)
     p.add_argument("--witness", action="store_true", help="print production routes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
@@ -315,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-theorem1",
         help="cross-check the classifier against the reference table on a small grid",
     )
-    p.add_argument("--bound", type=int, default=2, help="max weight size per tau factor")
-    p.add_argument("--degree", type=int, default=None, help="truncation degree (default 6)")
+    p.add_argument("--bound", type=_nonnegative, default=2, help="max weight size per tau factor")
+    p.add_argument("--degree", type=_nonnegative, default=6, help="truncation degree (default 6)")
     p.add_argument("--cases", help="comma-separated subset of I..IX")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -325,35 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    config = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-    if hasattr(args, "degree") and args.degree is None and "degree" in config:
-        args.degree = int(config["degree"])
-    if args.command == "verify-theorem1" and args.degree is None:
-        args.degree = 6
-    if args.jobs is None:
-        args.jobs = int(config.get("jobs", 1))
-
-    cache_path = cache_mod.resolve_path(args.cache, config.get("cache"), args.no_cache)
-    if cache_path:
-        cache_mod.load(cache_path)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cache_path:
-        cache_mod.save(cache_path)
-    return code
 
 
 if __name__ == "__main__":

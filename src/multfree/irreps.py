@@ -28,9 +28,8 @@ repeatedly strips the lexicographically largest surviving dominant weight.
 Any negative coefficient encountered there is a hard internal error, never
 clamped.
 
-All operations are pure functions over immutable values.  The pairwise
-tensor memo behaves as if absent and tolerates concurrent readers under the
-GIL (plain dict insertion, single writer per key).
+All operations are pure functions over immutable values; the in-memory
+pairwise tensor memo behaves as if absent.
 """
 
 from __future__ import annotations
@@ -504,15 +503,7 @@ def is_multiplicity_free(s: FormalSum) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# persistent memo support (used by the CLI cache)
-
-
-def export_pair_cache() -> dict[tuple, dict[IrrepLabel, int]]:
-    return dict(_PAIR_CACHE)
-
-
-def import_pair_cache(data: dict[tuple, dict[IrrepLabel, int]]) -> None:
-    _PAIR_CACHE.update(data)
+# memo reset (each process starts with empty memos)
 
 
 def clear_caches() -> None:

@@ -4,8 +4,7 @@ Partitions and Young-diagram combinatorics.
 A partition is stored as a plain tuple of positive integers in weakly
 decreasing order; trailing zeros are stripped so that equality is
 structural ((3, 1, 0) and (3, 1) denote the same diagram).  All functions
-are pure and all values immutable, so everything here is safe to share
-between threads.
+are pure and all values immutable.
 
 The horizontal-strip test is the workhorse: a skew diagram outer/inner is a
 horizontal strip iff it has at most one cell per column, equivalently iff
@@ -15,7 +14,6 @@ horizontal strip iff it has at most one cell per column, equivalently iff
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -36,10 +34,6 @@ def canonical(parts: Iterable[int]) -> Partition:
 
 def size(p: Partition) -> int:
     return sum(p)
-
-
-def length(p: Partition) -> int:
-    return len(p)
 
 
 def conjugate(p: Partition) -> Partition:
@@ -130,36 +124,6 @@ def strip_successors(base: Partition, strip_size: int, max_length: int) -> list[
     return sorted(results, reverse=True)
 
 
-def skew_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
-    """Cells (row, col) of outer not in inner; assumes containment."""
-    padded = inner + (0,) * (len(outer) - len(inner))
-    return [(i, j) for i, row in enumerate(outer) for j in range(padded[i], row)]
-
-
-@dataclass(frozen=True)
-class SkewPair:
-    """A contained pair of partitions, i.e. a skew diagram outer/inner."""
-
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self):
-        object.__setattr__(self, "outer", canonical(self.outer))
-        object.__setattr__(self, "inner", canonical(self.inner))
-        if not contains(self.outer, self.inner):
-            raise ValueError(f"{self.inner} does not fit inside {self.outer}")
-
-    @property
-    def size(self) -> int:
-        return size(self.outer) - size(self.inner)
-
-    def cells(self) -> list[tuple[int, int]]:
-        return skew_cells(self.outer, self.inner)
-
-    def is_horizontal_strip(self) -> bool:
-        return is_horizontal_strip(self.outer, self.inner)
-
-
 def partitions_of(n: int, max_length: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n, optionally bounded in length and largest part."""
     if n < 0:
@@ -183,10 +147,3 @@ def all_partitions(max_size: int, max_length: int | None = None) -> list[Partiti
         out.extend(sorted(partitions_of(n, max_length), reverse=True))
     return out
 
-
-def to_json(p: Partition) -> list[int]:
-    return list(p)
-
-
-def from_json(data: Iterable[int]) -> Partition:
-    return canonical(data)

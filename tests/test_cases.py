@@ -1,21 +1,26 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multfree.cases import (
     CompositeLabel,
+    TauSpec,
     case_spec,
     factor_weights,
     factors,
+    omega_entries,
     omega_series,
     omega_tensor_tau,
+    product_terms,
     tau_candidates,
     tau_restriction,
     tau_spec,
     torus_dim,
     u_slots,
 )
-from multfree.irreps import is_multiplicity_free, sp, u
+from multfree.irreps import IrrepLabel, dimension, is_multiplicity_free, sp, u
 
 
 def _torus_sets(fs):
@@ -200,6 +205,35 @@ def test_omega_tensor_tau_case_ix_free():
     spec = case_spec("IX", n=1)
     tau = tau_spec(spec, u=(5,))
     assert is_multiplicity_free(omega_tensor_tau(spec, tau, 3))
+
+
+@st.composite
+def _small_tau_and_degree(draw):
+    spec = draw(st.sampled_from(ALL_SPECS))
+    labels = tuple(
+        IrrepLabel(f.family, f.rank, draw(st.sampled_from(factor_weights(f.family, f.rank, 2))))
+        for f in factors(spec)
+    )
+    return TauSpec(spec, labels), draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_tau_and_degree())
+# a slot product with a multiplicity: u(3) (2,1,0) (x) adjoint holds (2,1,0) twice
+@example((tau_spec(case_spec("VII", k=3, n=0), u=(1, 0, -1)), 3))
+def test_product_terms_conserve_dimension(tau_and_degree):
+    # within each degree slice, dim(omega_d (x) tau) computed term by term
+    # with the Weyl dimension formula equals dim(omega_d) * dim(tau)
+    tau, degree = tau_and_degree
+    spec = tau.spec
+    dim_tau = math.prod(dimension(lab) for lab in tau.labels)
+    got = [0] * (degree + 1)
+    for oe, _, label, mult in product_terms(spec, tau, degree):
+        got[oe.degree] += mult * math.prod(dimension(lab) for lab in label.ulabels)
+    want = [0] * (degree + 1)
+    for oe in omega_entries(spec, degree):
+        want[oe.degree] += math.prod(dimension(lab) for lab in oe.ulabels) * dim_tau
+    assert got == want, str(tau)
 
 
 def test_factor_weight_enumeration():

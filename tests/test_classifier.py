@@ -1,5 +1,4 @@
-import importlib
-
+import multfree.classify as classify_mod
 from multfree.cases import CompositeLabel, case_spec, factor_weights, tau_spec
 from multfree.classify import (
     CONSISTENT,
@@ -180,9 +179,7 @@ def test_cross_check_contradiction_row(monkeypatch):
     tau = tau_spec(s7, u=(1, 0))
     assert cross_check(s7, tau, 5).consistency == CONSISTENT
     # a table that wrongly claims this known-witness triple commutative must
-    # be reported as a contradiction; the package re-exports a ``classify``
-    # function that shadows the submodule, so patch it via importlib
-    classify_mod = importlib.import_module("multfree.classify")
+    # be reported as a contradiction
     monkeypatch.setattr(
         classify_mod, "expected_verdict", lambda spec, tau: ExpectedVerdict(True, "patched")
     )
@@ -230,11 +227,25 @@ def test_witness_degree_within_default_window():
                 )
 
 
-def test_sweep_parallel_matches_serial():
-    spec = case_spec("III", n=1)
-    serial = sweep(spec, 2, 5)
-    parallel = sweep(spec, 2, 5, jobs=4)
-    assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+def test_sweep_viii_unitary_blocks_consistent():
+    # default_grid() has no family VIII block with k >= 2, so the reference
+    # sweep cannot see a fault in the u(k) condition of the VIII row
+    for spec, bound, rows in (
+        (case_spec("VIII", m=(), kn=((2, 0),)), 2, 24),
+        (case_spec("VIII", m=(3,), kn=((2, 0),)), 1, 36),
+    ):
+        checked = sweep(spec, bound, 6)
+        assert len(checked) == rows
+        bad = [str(r.tau) for r in checked if r.consistency != CONSISTENT]
+        assert not bad, (spec, bad)
+
+
+def test_classify_is_the_submodule():
+    import multfree
+
+    assert multfree.classify is classify_mod
+    assert callable(multfree.classify.verify_witness)
+    assert callable(multfree.classify.classify)
 
 
 def test_verdict_json():

@@ -1,8 +1,10 @@
-import importlib
 import json
 import subprocess
 import sys
 
+import pytest
+
+import multfree.classify as classify_mod
 from multfree.cli import main
 
 
@@ -123,9 +125,7 @@ def test_classify_contradiction_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "CONSISTENT" in out
-    # a table that wrongly claims this known-witness triple commutative; the
-    # package re-exports a ``classify`` function that shadows the submodule
-    classify_mod = importlib.import_module("multfree.classify")
+    # a table that wrongly claims this known-witness triple commutative
     monkeypatch.setattr(
         classify_mod,
         "expected_verdict",
@@ -172,42 +172,37 @@ def test_verify_json_has_no_prose(capsys):
         assert set(row) <= {"case", "params", "tau", "verdict", "degree", "expected", "consistency", "witness"}
 
 
-def test_cache_on_off_identical(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    args = ["tensor", "sp", "3", "--json", "--", "2,1", "--", "2"]
-    code, cold, _ = run_cli(capsys, "--cache", str(cache), *args)
-    assert code == 0 and cache.exists()
-    code, warm, _ = run_cli(capsys, "--cache", str(cache), *args)
+def test_verify_cases_keep_order_and_duplicates(capsys):
+    code, out, _ = run_cli(capsys, "verify-theorem1", "--bound", "0", "--degree", "1", "--cases", "IX,I,ix")
     assert code == 0
-    code, off, _ = run_cli(capsys, "--no-cache", *args)
-    assert code == 0
-    assert cold == warm == off
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == [
+        "IX(n=1)", "IX(n=2)", "I(n=2)", "I(n=3)", "IX(n=1)", "IX(n=2)"
+    ]
 
 
-def test_stale_cache_schema_ignored(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    cache.write_text(json.dumps({"schema": "something-else", "entries": {"sp:2:1|1": [[[9], 1]]}}))
-    code, out, _ = run_cli(capsys, "--cache", str(cache), "tensor", "sp", "2", "--", "1", "--", "1")
-    assert code == 0
-    assert out.strip() == "(2) + (1,1) + ()"
+def test_verify_unknown_case_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify-theorem1", "--cases", "I,X")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: unknown case 'X'"
 
 
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "env-cache.json"
-    monkeypatch.setenv("MULTFREE_CACHE", str(cache))
-    code, _, _ = run_cli(capsys, "tensor", "sp", "2", "--", "1", "--", "1")
-    assert code == 0
-    assert cache.exists()
-
-
-def test_config_file_sets_degree(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"degree": 6}))
-    code, out, _ = run_cli(
-        capsys, "--config", str(cfg), "classify", "I", "--n", "2", "--tau", "sp=1,1"
-    )
-    assert code == 0
-    assert "degree 6" in out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "I", "--n", "2", "--tau", "sp=1", "--degree", "-1"),
+        ("verify-theorem1", "--degree", "-1"),
+        ("verify-theorem1", "--bound", "-1"),
+        ("pieri", "1", "--s", "-1", "--n", "2"),
+    ],
+)
+def test_negative_count_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith("must be >= 0, got -1")
 
 
 def test_console_entry_point():

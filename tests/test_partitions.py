@@ -8,7 +8,6 @@ from multfree.partitions import (
     is_horizontal_strip,
     partitions_of,
     size,
-    skew_cells,
     strip_predecessors,
     strip_successors,
 )
@@ -60,12 +59,18 @@ def test_horizontal_strip_examples():
         assert is_horizontal_strip(canonical((s,)), ())
 
 
+def _skew_cells(outer, inner):
+    """Cells (row, col) of outer not in inner; assumes containment."""
+    padded = inner + (0,) * (len(outer) - len(inner))
+    return [(i, j) for i, row in enumerate(outer) for j in range(padded[i], row)]
+
+
 def _strip_by_column_count(outer, inner):
     # direct definition: containment plus at most one skew cell per column
     if not contains(outer, inner):
         return False
     cols = {}
-    for _, j in skew_cells(outer, inner):
+    for _, j in _skew_cells(outer, inner):
         cols[j] = cols.get(j, 0) + 1
     return all(c <= 1 for c in cols.values())
 
@@ -145,28 +150,3 @@ def test_partitions_of_counts():
     expect = [1, 1, 2, 3, 5, 7, 11, 15, 22]
     for n, c in enumerate(expect):
         assert len(list(partitions_of(n))) == c
-
-
-def test_json_roundtrip():
-    from multfree.partitions import from_json, to_json
-
-    for p in all_partitions(6):
-        assert from_json(to_json(p)) == p
-
-
-def test_skew_pair():
-    import pytest
-
-    from multfree.partitions import SkewPair
-
-    sk = SkewPair((3, 1), (2, 0))
-    assert sk.inner == (2,)
-    assert sk.size == 2
-    assert set(sk.cells()) == {(0, 2), (1, 0)}
-    assert sk.is_horizontal_strip()
-    # column 2 of (2,2)/(1) holds two cells, so it is not a strip
-    sk2 = SkewPair((2, 2), (1,))
-    assert sk2.size == 3
-    assert not sk2.is_horizontal_strip()
-    with pytest.raises(ValueError):
-        SkewPair((2,), (3,))
