@@ -523,19 +523,26 @@ def product_terms(
     Every production of the truncated series omega (x) tau restricted to the
     torus-times-intertwiner subgroup, as ``(omega entry, tau entry, label,
     multiplicity)``, omega entries in degree order: torus characters add and
-    u-slot factors are decomposed by the oracle.  With ``torus`` given, pairs
-    landing on any other torus vector are skipped before any decomposition.
+    u-slot factors are decomposed by the oracle.  With ``torus`` given, only
+    the tau entries on ``torus`` minus the omega torus vector are paired,
+    found by one lookup in an index of the tau entries by torus vector.
     """
     tentries = tau_entries(spec, tau)
-    for oe in omega_entries(spec, degree):
+    if torus is not None:
+        by_torus: dict[tuple[int, ...], list[TauEntry]] = {}
         for te in tentries:
+            by_torus.setdefault(te.torus, []).append(te)
+    for oe in omega_entries(spec, degree):
+        if torus is not None:
+            paired = by_torus.get(tuple(a - b for a, b in zip(torus, oe.torus)), ())
+        else:
+            paired = tentries
+        for te in paired:
             t = tuple(a + b for a, b in zip(oe.torus, te.torus))
             if torus is not None and t != torus:
-                continue
-            per_slot = [tensor_pair(a, b) for a, b in zip(oe.ulabels, te.ulabels)]
-            for combo in itertools.product(
-                *[sorted(d.items(), key=lambda kv: kv[0].sort_key()) for d in per_slot]
-            ):
+                continue  # only when ``torus`` has the wrong length
+            per_slot = [tensor_pair(a, b).items() for a, b in zip(oe.ulabels, te.ulabels)]
+            for combo in itertools.product(*per_slot):
                 mult = te.mult
                 for _, m in combo:
                     mult *= m

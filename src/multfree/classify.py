@@ -114,27 +114,36 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
     Scan omega (x) tau up to the truncation degree and return either the
     first label (by witness degree, then label order) with multiplicity >= 2,
     or the bounded multiplicity-freeness certificate.
+
+    Omega terms come in degree order, so the scan stops once the first degree
+    at which some label reaches multiplicity 2 is complete: any later witness
+    would be reached at a higher degree.  The witness's ``multiplicity`` and
+    ``routes`` still count every production up to the truncation degree.
     """
     if degree is None:
         degree = deg_window(spec, tau)
     counts: dict[CompositeLabel, int] = {}
-    reached: dict[CompositeLabel, int] = {}
+    found: list[CompositeLabel] = []
+    witness_degree = None
     for oe, _, lab, mult in product_terms(spec, tau, degree):
+        if witness_degree is not None and oe.degree > witness_degree:
+            break
         c = counts.get(lab, 0) + mult
         counts[lab] = c
-        if c >= 2 and lab not in reached:
-            reached[lab] = oe.degree
-    if not reached:
+        if c >= 2 and c - mult < 2:
+            found.append(lab)
+            witness_degree = oe.degree
+    if not found:
         return Verdict(False, degree)
-    witness = min(reached, key=lambda lab: (reached[lab], label_sort_key(lab)))
+    witness = min(found, key=label_sort_key)
     routes = production_routes(spec, tau, degree, witness)
     routes.sort(key=lambda r: (r["degree"], json.dumps(_route_json(r), sort_keys=True)))
     return Verdict(
         True,
         degree,
         witness=witness,
-        multiplicity=counts[witness],
-        witness_degree=reached[witness],
+        multiplicity=sum(r["mult"] for r in routes),
+        witness_degree=witness_degree,
         routes=tuple(routes),
     )
 

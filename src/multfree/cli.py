@@ -122,6 +122,8 @@ def _print_json(obj) -> None:
 
 
 def cmd_pieri(args) -> int:
+    if args.n < 1:
+        raise InputError(f"sp rank must be >= 1, got {args.n}")
     try:
         eta = canonical(args.parts)
     except ValueError as exc:

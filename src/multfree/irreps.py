@@ -444,7 +444,8 @@ _PAIR_CACHE: dict[tuple, dict[IrrepLabel, int]] = {}
 
 
 def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
-    """Decomposition of a (x) b into irreducibles, memoised on sorted weights."""
+    """Decomposition of a (x) b into irreducibles, memoised on sorted weights;
+    the returned dict iterates in ``label_sort_key`` order."""
     if a.family != b.family or a.rank != b.rank:
         raise ValueError(f"family/rank mismatch: {a} vs {b}")
     wa, wb = sorted((a.weight, b.weight))
@@ -472,6 +473,7 @@ def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     got = sum(m * dimension(lab) for lab, m in result.items())
     if got != expected:
         raise OracleError(f"dimension leak in {a} (x) {b}: {got} != {expected}")
+    result = dict(sorted(result.items(), key=lambda kv: label_sort_key(kv[0])))
     _PAIR_CACHE[key] = result
     return result
 

@@ -236,6 +236,25 @@ def test_product_terms_conserve_dimension(tau_and_degree):
     assert got == want, str(tau)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_small_tau_and_degree(), st.integers(0, 10**6))
+@example((tau_spec(case_spec("IX", n=2), u=(1, -1)), 3), 0)
+@example((tau_spec(case_spec("VII", k=2, n=0), su2=(1,), u=(1, 0)), 3), 1)
+@example((tau_spec(case_spec("VIII", m=(3,), kn=((1, 0),)), **{"su.1": (1,), "su2.1": (2,)}), 3), 4)
+def test_product_terms_torus_index(tau_and_degree, pick):
+    # the torus-indexed scan yields exactly the unfiltered productions whose
+    # label lies on the asked torus vector, in the same order
+    tau, degree = tau_and_degree
+    spec = tau.spec
+    everything = list(product_terms(spec, tau, degree))
+    tori = sorted({label.torus for _, _, label, _ in everything})
+    tori.append(tuple(x + 99 for x in tori[0]))  # on no production unless empty
+    t = tori[pick % len(tori)]
+    want = [term for term in everything if term[2].torus == t]
+    assert list(product_terms(spec, tau, degree, torus=t)) == want, (str(tau), t)
+    assert list(product_terms(spec, tau, degree, torus=t + (0,))) == []
+
+
 def test_factor_weight_enumeration():
     assert factor_weights("su", 2, 2) == [(), (1,), (2,)]
     # graded: size-0 weight first, then size-1 weights in lex order

@@ -1,5 +1,15 @@
+import pytest
+
 import multfree.classify as classify_mod
-from multfree.cases import CompositeLabel, case_spec, factor_weights, tau_spec
+from multfree.cases import (
+    CompositeLabel,
+    case_spec,
+    factor_weights,
+    omega_entries,
+    product_terms,
+    tau_candidates,
+    tau_spec,
+)
 from multfree.classify import (
     CONSISTENT,
     CONTRADICTION,
@@ -8,12 +18,13 @@ from multfree.classify import (
     Verdict,
     classify,
     cross_check,
+    default_grid,
     deg_window,
     expected_verdict,
     sweep,
     verify_witness,
 )
-from multfree.irreps import decompose_product, is_multiplicity_free, sp, u
+from multfree.irreps import decompose_product, is_multiplicity_free, label_sort_key, sp, u
 
 
 def test_classify_case_i_witness_and_routes():
@@ -47,6 +58,71 @@ def test_classify_monotone_in_degree():
             bigger = classify(spec, tau, d)
             assert bigger.multiplicity_found
             assert bigger.witness_degree <= small.witness_degree
+
+
+def _full_scan_witness(spec, tau, degree):
+    # the rule without the stop: scan every production up to the degree and
+    # take the smallest (degree reached, label)
+    counts, reached = {}, {}
+    for oe, _, lab, mult in product_terms(spec, tau, degree):
+        counts[lab] = counts.get(lab, 0) + mult
+        if counts[lab] >= 2:
+            reached.setdefault(lab, oe.degree)
+    if not reached:
+        return None
+    lab = min(reached, key=lambda x: (reached[x], label_sort_key(x)))
+    return lab, reached[lab], counts[lab]
+
+
+def test_classify_witness_monotone_and_minimal():
+    # a witness is conclusive: a larger truncation keeps it, and one degree
+    # below its witness degree there is none
+    checked = 0
+    for spec in default_grid():
+        for tau in tau_candidates(spec, 1):
+            v = classify(spec, tau, 4)
+            if not v.multiplicity_found:
+                assert _full_scan_witness(spec, tau, 4) is None, (str(spec), str(tau))
+                continue
+            checked += 1
+            assert _full_scan_witness(spec, tau, 4) == (v.witness, v.witness_degree, v.multiplicity)
+            bigger = classify(spec, tau, 6)
+            assert (bigger.witness, bigger.witness_degree) == (v.witness, v.witness_degree)
+            if v.witness_degree > 0:
+                assert not classify(spec, tau, v.witness_degree - 1).multiplicity_found
+    assert checked >= 50
+
+
+@pytest.mark.parametrize(
+    "spec, weights",
+    [
+        (case_spec("I", n=2), {"su2": (1,), "sp": (1,)}),
+        (case_spec("IV", n=2), {"so": (1, 0)}),
+        (case_spec("VII", k=2, n=0), {"u": (1, 0)}),
+        (case_spec("VIII", m=(3,), kn=((1, 0),)), {"su2.1": (1,)}),
+    ],
+)
+def test_classify_stops_after_the_witness_degree(monkeypatch, spec, weights):
+    drawn = []
+
+    def recording(*args, **kwargs):
+        for term in product_terms(*args, **kwargs):
+            drawn.append(term[0])
+            yield term
+
+    monkeypatch.setattr(classify_mod, "product_terms", recording)
+    tau = tau_spec(spec, **weights)
+    v = classify(spec, tau, 6)
+    assert v.multiplicity_found
+    later = [oe for oe in omega_entries(spec, 6) if oe.degree > v.witness_degree]
+    assert len(later) > 1
+    # above the witness degree the scan draws from the first omega entry
+    # only, and none of the entries after it
+    past = list(dict.fromkeys(oe for oe in drawn if oe.degree > v.witness_degree))
+    assert past == later[:1]
+    # routes and multiplicity still cover every degree up to 6
+    assert max(r["degree"] for r in v.routes) >= v.witness_degree
+    assert verify_witness(spec, tau, v)
 
 
 def test_classify_case_iv_standard_rep():
@@ -238,6 +314,14 @@ def test_sweep_viii_unitary_blocks_consistent():
         assert len(checked) == rows
         bad = [str(r.tau) for r in checked if r.consistency != CONSISTENT]
         assert not bad, (spec, bad)
+
+
+def test_stress_grid_consistent():
+    # the bound-3, degree-7 sweep of every default_grid() spec
+    rows = [row for spec in default_grid() for row in sweep(spec, 3, 7)]
+    assert len(rows) == 2077
+    bad = [(str(r.spec), str(r.tau), r.consistency) for r in rows if r.consistency != CONSISTENT]
+    assert not bad, bad[:5]
 
 
 def test_classify_is_the_submodule():

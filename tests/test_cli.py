@@ -46,6 +46,14 @@ def test_pieri_rejects_overlong(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_pieri_rejects_rank_below_one(capsys, rank):
+    code, out, err = run_cli(capsys, "pieri", "--s", "1", "--n", rank)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: sp rank must be >= 1, got {rank}"
+
+
 def test_tensor_sp(capsys):
     code, out, _ = run_cli(capsys, "tensor", "sp", "2", "--", "1", "--", "1")
     assert code == 0

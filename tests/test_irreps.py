@@ -10,6 +10,7 @@ from multfree.irreps import (
     decompose_product,
     dimension,
     is_multiplicity_free,
+    label_sort_key,
     render_formal_sum,
     so,
     sp,
@@ -304,3 +305,7 @@ def test_tensor_pair_memo_transparent():
     key_hits = [k for k in _PAIR_CACHE if k[0] == "sp" and {a.weight, b.weight} == {k[2], k[3]}]
     assert key_hits
     assert tensor_pair(a, b) == fresh
+    # stored once in label order, so scans iterate it without sorting
+    for x, y in ((a, b), (su(3, 2, 1), su(3, 1)), (u(2, 1, 0), u(2, 1, -1))):
+        labels = list(tensor_pair(x, y))
+        assert labels == sorted(labels, key=label_sort_key), (x, y)
