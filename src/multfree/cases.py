@@ -67,9 +67,6 @@ class CaseSpec:
                 return v
         raise KeyError(key)
 
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
     def to_json(self) -> dict:
         out = {"case": self.case_id}
         for k, v in self.params:

@@ -7,8 +7,9 @@ Command-line front end.
     multfree verify-theorem1 --bound 2 --degree 6 --cases I,VII
 
 Exit codes: 0 success/consistent, 1 inconsistency or bounded-certificate
-gap, 2 malformed input.  ``--json`` switches every command to a
-machine-readable rendering with no prose fields.
+gap, 2 malformed input, 3 internal failure (an ``OracleError`` or any other
+uncaught exception, reported as one ``error: internal:`` line).  ``--json``
+switches every command to a machine-readable rendering with no prose fields.
 """
 
 from __future__ import annotations
@@ -316,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never a verdict: keep it off exit 1
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,11 +22,11 @@ so(2n)   integer tuples a_1 >= ... >= a_{n-1} >= |a_n| (tensor
          exactly by the corresponding denominator alternant.
 circle   a single integer r; the character is the monomial x^r.
 
-``decompose_product`` is the independent brute-force oracle used to check
-every closed-form rule in the package: it multiplies characters exactly and
-repeatedly strips the lexicographically largest surviving dominant weight.
-Any negative coefficient encountered there is a hard internal error, never
-clamped.
+``decompose_product`` is the oracle used to check every closed-form rule in
+the package; each pairwise step applies the Brauer-Klimyk rule
+(``tensor_pair``).  A negative net coefficient or a dimension leak there is
+a hard internal error, never clamped.  The tests keep greedy peeling of the
+character product as an independent reference oracle.
 
 All operations are pure functions over immutable values; the in-memory
 pairwise tensor memo behaves as if absent.
@@ -401,51 +401,40 @@ def weight_system(label: IrrepLabel) -> FormalSum:
 # ---------------------------------------------------------------------------
 # the decomposition oracle
 
-
-def _dominant_label(family: str, rank: int, e: tuple[int, ...]) -> IrrepLabel:
-    if family == "sp":
-        if any(a < b for a, b in zip(e, e[1:])) or (e and e[-1] < 0):
-            raise OracleError(f"leading weight {e} is not sp-dominant")
-        return IrrepLabel("sp", rank, canonical(e))
-    if family == "u":
-        if any(a < b for a, b in zip(e, e[1:])):
-            raise OracleError(f"leading weight {e} is not u-dominant")
-        return IrrepLabel("u", rank, e)
-    if family == "so":
-        if any(a < b for a, b in zip(e[:-1], e[1:-1])) or (len(e) >= 2 and e[-2] < abs(e[-1])):
-            raise OracleError(f"leading weight {e} is not so-dominant")
-        return IrrepLabel("so", rank, e)
-    raise OracleError(f"greedy decomposition does not handle family {family!r}")
+# Weyl groups: permutations (A), signed permutations (C), and signed
+# permutations with an even number of sign changes (D)
+_WEYL_KIND = {"su": "A", "u": "A", "sp": "C", "so": "D"}
 
 
-def _greedy_decompose(poly: LaurentPoly, family: str, rank: int) -> dict[IrrepLabel, int]:
-    """
-    Peel irreducible characters off ``poly`` from the top.
-
-    The lex-largest exponent of any nonnegative combination of irreducible
-    characters is the highest weight of a constituent, hence dominant; a
-    non-dominant leader or a negative coefficient can only mean a bug and
-    aborts the run.
-    """
-    parts: dict[IrrepLabel, int] = {}
-    rem = poly
-    while rem:
-        e = rem.leading_exponent()
-        label = _dominant_label(family, rank, e)
-        c = rem.terms[e]
-        if c < 1:
-            raise OracleError(f"negative multiplicity {c} at weight {e}")
-        rem = rem - weyl_character(label).scale(c)
-        parts[label] = c
-    return parts
+def _reflect(kind: str, v: list[int]) -> tuple[int, tuple[int, ...]] | None:
+    """Sign and dominant image of ``v`` under the Weyl group of ``kind``, or
+    None when ``v`` lies on a wall."""
+    keys = v if kind == "A" else [abs(x) for x in v]
+    d = sorted(keys, reverse=True)
+    if any(x == y for x, y in zip(d, d[1:])) or (kind == "C" and d[-1] == 0):
+        return None
+    flips = sum(x < y for i, x in enumerate(keys) for y in keys[i + 1 :])
+    negatives = 0 if kind == "A" else sum(x < 0 for x in v)
+    if kind == "C":
+        flips += negatives
+    elif kind == "D" and negatives % 2 and d[-1]:
+        d[-1] = -d[-1]
+    return (-1) ** flips, tuple(d)
 
 
 _PAIR_CACHE: dict[tuple, dict[IrrepLabel, int]] = {}
 
 
 def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
-    """Decomposition of a (x) b into irreducibles, memoised on sorted weights;
-    the returned dict iterates in ``label_sort_key`` order."""
+    """
+    Decomposition of a (x) b into irreducibles by the Brauer-Klimyk rule:
+    the sum over the weights mu of b, with multiplicity, of sign(w) times
+    V[w(a + mu + rho) - rho], where w reflects a + mu + rho into the dominant
+    chamber and terms on a wall vanish.  b is the factor of smaller Weyl
+    dimension, so only its character is built; su works on the u(m) lift.
+    Memoised on sorted weights; the returned dict iterates in
+    ``label_sort_key`` order.
+    """
     if a.family != b.family or a.rank != b.rank:
         raise ValueError(f"family/rank mismatch: {a} vs {b}")
     wa, wb = sorted((a.weight, b.weight))
@@ -456,23 +445,33 @@ def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     fam, rank = a.family, a.rank
     if fam == "circle":
         result = {circle(a.weight[0] + b.weight[0]): 1}
-    elif fam == "su":
-        # run the u(m) oracle on the standard lifts, then renormalise labels
-        ua = IrrepLabel("u", rank, a.weight + (0,) * (rank - len(a.weight)))
-        ub = IrrepLabel("u", rank, b.weight + (0,) * (rank - len(b.weight)))
-        prod = weyl_character(ua) * weyl_character(ub)
-        result = {}
-        for lab, m in _greedy_decompose(prod, "u", rank).items():
-            w = lab.weight
-            key_su = IrrepLabel("su", rank, tuple(x - w[-1] for x in w))
-            result[key_su] = result.get(key_su, 0) + m
     else:
-        prod = weyl_character(a) * weyl_character(b)
-        result = _greedy_decompose(prod, fam, rank)
-    expected = dimension(a) * dimension(b)
-    got = sum(m * dimension(lab) for lab, m in result.items())
-    if got != expected:
-        raise OracleError(f"dimension leak in {a} (x) {b}: {got} != {expected}")
+        dim_a, dim_b = dimension(a), dimension(b)
+        if dim_b > dim_a:
+            a, b = b, a
+        top = rank if fam == "sp" else rank - 1
+        kind, rho = _WEYL_KIND[fam], tuple(range(top, top - rank, -1))
+        # su and sp labels are partitions: pad to the rank
+        shifted = [x + r for x, r in zip(a.weight + (0,) * (rank - len(a.weight)), rho)]
+        net: dict[tuple[int, ...], int] = {}
+        for mu, m in weyl_character(b).items():
+            image = _reflect(kind, [x + y for x, y in zip(shifted, mu)])
+            if image is not None:
+                sign, d = image
+                lam = tuple(x - r for x, r in zip(d, rho))
+                net[lam] = net.get(lam, 0) + sign * m
+        result = {}
+        for lam, c in net.items():
+            if c < 0:
+                raise OracleError(f"negative multiplicity {c} at {lam} in {a} (x) {b}")
+            if c:
+                if fam == "su":
+                    lam = tuple(x - lam[-1] for x in lam)
+                label = IrrepLabel(fam, rank, lam)
+                result[label] = result.get(label, 0) + c
+        got = sum(m * dimension(lab) for lab, m in result.items())
+        if got != dim_a * dim_b:
+            raise OracleError(f"dimension leak in {a} (x) {b}: {got} != {dim_a * dim_b}")
     result = dict(sorted(result.items(), key=lambda kv: label_sort_key(kv[0])))
     _PAIR_CACHE[key] = result
     return result

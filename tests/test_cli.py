@@ -213,6 +213,28 @@ def test_negative_count_exits_2(capsys, argv):
     assert err.splitlines()[-1].endswith("must be >= 0, got -1")
 
 
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("decompose_product", ("tensor", "u", "2", "--", "1,0", "--", "1,0")),
+        ("cross_check", ("classify", "I", "--n", "2", "--tau", "sp=1", "--degree", "2")),
+        ("sweep", ("verify-theorem1", "--bound", "0", "--degree", "1")),
+    ],
+)
+def test_internal_failure_exits_3(capsys, monkeypatch, target, argv):
+    import multfree.cli as cli_mod
+    from multfree.irreps import OracleError
+
+    def broken(*args, **kwargs):
+        raise OracleError("dimension leak in a (x) b: 80 != 64")
+
+    monkeypatch.setattr(cli_mod, target, broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: OracleError: dimension leak in a (x) b: 80 != 64\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "multfree.cli", "pieri", "1", "--s", "1", "--n", "2"],
