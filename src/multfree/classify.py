@@ -9,6 +9,16 @@ omega (x) tau restricted to the torus-times-intertwiner subgroup:
 * absence of such a label up to degree D is only the bounded certificate
   ``MultiplicityFreeUpTo(D)``, never a proof.
 
+A family VIII series is the graded product of its type-(VI) and type-(VII)
+blocks, on disjoint torus coordinates and u-slots, and tau splits the same
+way.  A composite label (L_1, ..., L_b) has multiplicity
+sum_{d_1 + ... + d_b <= D} prod_i c_i(L_i, d_i), so the product is
+multiplicity-free up to D exactly when every block series (x) its tau piece
+is: each sum is at most prod_i A_i(L_i) <= 1, and a repeated block label
+paired with a degree-0 term of the other blocks stays repeated.  Multi-block
+certificates are therefore decided block by block; witnesses, their
+multiplicities and their routes still come from the full product scan.
+
 ``expected_verdict`` encodes the published classification table for the
 nine families; ``cross_check`` compares it against the computed verdict and
 reports INCONCLUSIVE when an expected witness was not found below the
@@ -25,6 +35,7 @@ from .cases import (
     CaseSpec,
     CompositeLabel,
     TauSpec,
+    case_spec,
     factors,
     product_terms,
     production_routes,
@@ -109,19 +120,15 @@ def deg_window(spec: CaseSpec, tau: TauSpec) -> int:
     return tau.weight_size() + 4
 
 
-def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict:
+def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[list[CompositeLabel], int | None]:
     """
-    Scan omega (x) tau up to the truncation degree and return either the
-    first label (by witness degree, then label order) with multiplicity >= 2,
-    or the bounded multiplicity-freeness certificate.
+    The labels that first reach multiplicity >= 2 at the witness degree, and
+    that degree (None when the series is multiplicity-free up to ``degree``).
 
     Omega terms come in degree order, so the scan stops once the first degree
     at which some label reaches multiplicity 2 is complete: any later witness
-    would be reached at a higher degree.  The witness's ``multiplicity`` and
-    ``routes`` still count every production up to the truncation degree.
+    would be reached at a higher degree.
     """
-    if degree is None:
-        degree = deg_window(spec, tau)
     counts: dict[CompositeLabel, int] = {}
     found: list[CompositeLabel] = []
     witness_degree = None
@@ -133,6 +140,43 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
         if c >= 2 and c - mult < 2:
             found.append(lab)
             witness_degree = oe.degree
+    return found, witness_degree
+
+
+def _blocks(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:
+    """The type-(VI) and type-(VII) blocks of a family VIII spec, each with
+    its piece of tau: ``VI(n=m_i)`` with (su.i, s1.i) and ``VII(k=k_j,
+    n=n_j)`` with (su2.j, u.j[, sp.j])."""
+    out = []
+    for i, m in enumerate(spec["m"], start=1):
+        block = case_spec("VI", n=m)
+        out.append((block, TauSpec(block, (tau.label(f"su.{i}"), tau.label(f"s1.{i}")))))
+    for j, (k, n) in enumerate(spec["kn"], start=1):
+        block = case_spec("VII", k=k, n=n)
+        keys = (f"su2.{j}", f"u.{j}") + ((f"sp.{j}",) if n > 0 else ())
+        out.append((block, TauSpec(block, tuple(tau.label(key) for key in keys))))
+    return out
+
+
+def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict:
+    """
+    Scan omega (x) tau up to the truncation degree and return either the
+    first label (by witness degree, then label order) with multiplicity >= 2,
+    or the bounded multiplicity-freeness certificate.
+
+    The scan stops once the witness degree is complete; the witness's
+    ``multiplicity`` and ``routes`` still count every production up to the
+    truncation degree.  A family VIII spec with two or more blocks is first
+    decided block by block: when no block series (x) its tau piece has a
+    witness, the certificate is returned without drawing a term of the full
+    product series; otherwise the full series is scanned for the witness.
+    """
+    if degree is None:
+        degree = deg_window(spec, tau)
+    if spec.case_id == "VIII" and len(spec["m"]) + len(spec["kn"]) > 1:
+        if all(_scan(b, t, degree)[1] is None for b, t in _blocks(spec, tau)):
+            return Verdict(False, degree)
+    found, witness_degree = _scan(spec, tau, degree)
     if not found:
         return Verdict(False, degree)
     witness = min(found, key=label_sort_key)
@@ -241,8 +285,6 @@ def sweep(spec: CaseSpec, bound: int, degree: int) -> list[CheckRow]:
 def default_grid() -> list[CaseSpec]:
     """The small-parameter instantiation of every family used for the
     reference-table verification sweep."""
-    from .cases import case_spec
-
     return [
         case_spec("I", n=2),
         case_spec("I", n=3),

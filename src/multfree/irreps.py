@@ -437,8 +437,8 @@ def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     """
     if a.family != b.family or a.rank != b.rank:
         raise ValueError(f"family/rank mismatch: {a} vs {b}")
-    wa, wb = sorted((a.weight, b.weight))
-    key = (a.family, a.rank, wa, wb)
+    wa, wb = a.weight, b.weight
+    key = (a.family, a.rank, wa, wb) if wa <= wb else (a.family, a.rank, wb, wa)
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         return hit

@@ -384,3 +384,54 @@ def test_omega_case_vii_matches_monomial_model():
                     coeff *= c
                 terms[e] = terms.get(e, 0) + coeff
         assert series == model, (k, n)
+
+
+def test_omega_case_vi_matches_monomial_model():
+    # first-principles check of the family VI series (the type-(VI) block of
+    # family VIII): polynomials on C^n, graded by degree, as characters of
+    # the su(n)-torus times the circle.  The variable x_i has u(n) weight e_i,
+    # so a monomial with exponent vector a has the honest su(n)-torus
+    # character (a_1 - a_n, ..., a_{n-1} - a_n); the circle scales every
+    # variable, so it acts by the degree.  Degree d is Sym^d of the standard
+    # su(n) representation, so its torus part is that irrep's weight system.
+    from multfree.irreps import su, weight_system
+
+    top = 5
+    for n in (3, 4):
+        model = {}
+        for d in range(top + 1):
+            terms = model.setdefault(d, {})
+            for a in _exponent_vectors(n, d):
+                e = tuple(x - a[-1] for x in a[:-1]) + (d,)
+                terms[e] = terms.get(e, 0) + 1
+            sym = weight_system(su(n, d) if d else su(n)).entries
+            assert {e[:-1]: c for e, c in terms.items()} == sym, (n, d)
+        series = {}
+        for oe in omega_entries(case_spec("VI", n=n), top):
+            assert oe.ulabels == ()
+            terms = series.setdefault(oe.degree, {})
+            terms[oe.torus] = terms.get(oe.torus, 0) + 1
+        assert series == model, n
+
+
+def test_omega_case_ix_matches_monomial_model():
+    # first-principles check of the family IX series: Sym^r of C^n, that is
+    # the degree-r polynomials, as u(n) characters; the variable x_i has
+    # weight e_i, so a monomial's weight is its exponent vector
+    from multfree.irreps import weyl_character
+
+    top = 5
+    for n in (1, 2, 3):
+        model = {}
+        for r in range(top + 1):
+            terms = model.setdefault(r, {})
+            for a in _exponent_vectors(n, r):
+                terms[a] = terms.get(a, 0) + 1
+        series = {}
+        for oe in omega_entries(case_spec("IX", n=n), top):
+            assert oe.torus == ()
+            terms = series.setdefault(oe.degree, {})
+            for lab in oe.ulabels:
+                for e, c in weyl_character(lab).items():
+                    terms[e] = terms.get(e, 0) + c
+        assert series == model, n

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import multfree.classify as classify_mod
@@ -6,8 +8,10 @@ from multfree.cases import (
     case_spec,
     factor_weights,
     omega_entries,
+    omega_tensor_tau,
     product_terms,
     tau_candidates,
+    tau_entries,
     tau_spec,
 )
 from multfree.classify import (
@@ -105,9 +109,12 @@ def test_classify_witness_monotone_and_minimal():
 def test_classify_stops_after_the_witness_degree(monkeypatch, spec, weights):
     drawn = []
 
-    def recording(*args, **kwargs):
-        for term in product_terms(*args, **kwargs):
-            drawn.append(term[0])
+    def recording(scanned, *args, **kwargs):
+        # only the scan of this spec; a multi-block VIII spec also scans its
+        # blocks first
+        for term in product_terms(scanned, *args, **kwargs):
+            if scanned == spec:
+                drawn.append(term[0])
             yield term
 
     monkeypatch.setattr(classify_mod, "product_terms", recording)
@@ -123,6 +130,84 @@ def test_classify_stops_after_the_witness_degree(monkeypatch, spec, weights):
     # routes and multiplicity still cover every degree up to 6
     assert max(r["degree"] for r in v.routes) >= v.witness_degree
     assert verify_witness(spec, tau, v)
+
+
+BLOCK_SPECS = (
+    case_spec("VIII", m=(3,), kn=((1, 0),)),
+    case_spec("VIII", m=(3,), kn=((2, 0),)),
+    case_spec("VIII", kn=((2, 0), (1, 1))),
+    case_spec("VIII", m=(3, 3)),
+)
+
+
+def test_viii_block_decision_matches_full_series():
+    # the verdict of a multi-block VIII spec against the full product series,
+    # and its witness degree against the scans of its blocks
+    rows = 0
+    for spec in BLOCK_SPECS:
+        for tau in tau_candidates(spec, 1):
+            rows += 1
+            v = classify(spec, tau, 6)
+            full = omega_tensor_tau(spec, tau, 6)
+            assert v.multiplicity_found == (not full.is_multiplicity_free()), (str(spec), str(tau))
+            scans = [classify_mod._scan(b, t, 6)[1] for b, t in classify_mod._blocks(spec, tau)]
+            block_degree = min((d for d in scans if d is not None), default=None)
+            assert v.witness_degree == block_degree, (str(spec), str(tau))
+    assert rows == 180
+
+
+def _graded_product(series, degree):
+    # series: one Counter per block of (degree, torus, u-labels); the product
+    # concatenates torus vectors and u-labels and adds degrees
+    out = Counter({(0, (), ()): 1})
+    for block in series:
+        nxt = Counter()
+        for (d, t, u), c in out.items():
+            for (d2, t2, u2), c2 in block.items():
+                if degree is None or d + d2 <= degree:
+                    nxt[(d + d2, t + t2, u + u2)] += c * c2
+        out = nxt
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    BLOCK_SPECS + (case_spec("VIII", m=(4,), kn=((1, 2), (2, 1))),),
+    ids=str,
+)
+def test_viii_series_is_the_graded_product_of_its_blocks(spec):
+    degree = 4
+    omega = Counter((oe.degree, oe.torus, oe.ulabels) for oe in omega_entries(spec, degree))
+    blocks = [
+        Counter((oe.degree, oe.torus, oe.ulabels) for oe in omega_entries(b, degree))
+        for b, _ in classify_mod._blocks(spec, tau_spec(spec))
+    ]
+    assert omega == _graded_product(blocks, degree)
+    for tau in tau_candidates(spec, 1):
+        whole = Counter()
+        for te in tau_entries(spec, tau):
+            whole[(0, te.torus, te.ulabels)] += te.mult
+        pieces = []
+        for b, t in classify_mod._blocks(spec, tau):
+            piece = Counter()
+            for te in tau_entries(b, t):
+                piece[(0, te.torus, te.ulabels)] += te.mult
+            pieces.append(piece)
+        assert whole == _graded_product(pieces, None), str(tau)
+
+
+def test_viii_certificate_draws_no_term_of_the_full_series(monkeypatch):
+    spec = case_spec("VIII", m=(3,), kn=((2, 0),))
+    scanned = []
+
+    def recording(s, *args, **kwargs):
+        scanned.append(s)
+        return product_terms(s, *args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, "product_terms", recording)
+    v = classify(spec, tau_spec(spec, **{"s1.1": 2, "u.1": (1, 1)}), 12)
+    assert v == Verdict(False, 12)
+    assert scanned and spec not in scanned
 
 
 def test_classify_case_iv_standard_rep():
