@@ -16,8 +16,12 @@ non-circle intertwiner factors).  The families are:
     V/VI  su(n) x circle:     one character per monomial on C^n
     VII   su(2) x u(k) x sp(n):
           omega = sum chi_(r-s+j) (x) [Sym^r (x) Sym^s] (x) eta_(j)
-    VIII  block products of the type-(VI) and type-(VII) series
+    VIII  graded products of type-(VI) and type-(VII) blocks
     IX    u(n) on the Heisenberg group: omega = sum_r Sym^r
+
+The family VIII layout is written once, in ``blocks(spec)``: its VI and VII
+block specs, each with the VIII keys of its factors.  The VIII factors, the
+VIII series and the classifier's split of tau are all derived from it.
 
 Degree truncation bounds the sum of the grading parameters of omega (the
 polynomial degrees); the test representation is never truncated.
@@ -31,8 +35,8 @@ circle direction with the determinant direction of u(n), which both misses
 genuine collisions (the su-weight constructions of the source families) and
 invents spurious ones.
 
-All builders are pure, and omega entry lists are cached per (case, degree
-bound).
+All builders are pure; factor layouts are cached per case and omega entry
+lists per (case, degree bound).
 """
 
 from __future__ import annotations
@@ -134,6 +138,7 @@ class Factor(NamedTuple):
     pos: int  # torus offset or u-slot index
 
 
+@lru_cache(maxsize=None)
 def factors(spec: CaseSpec) -> tuple[Factor, ...]:
     """Factors of K in canonical order, with their torus/u-slot placement."""
     cid = spec.case_id
@@ -173,44 +178,34 @@ def factors(spec: CaseSpec) -> tuple[Factor, ...]:
         return tuple(out)
     if cid == "IX":
         return (Factor("u", "u", spec["n"], "uslot", 0),)
-    # VIII: su(m_i) blocks first, then su(2) blocks, then the circles and
-    # unitary/symplectic intertwiner factors in block order.
-    ms, kns = spec["m"], spec["kn"]
-    out = []
-    off = 0
-    for i, m in enumerate(ms, start=1):
-        out.append(Factor(f"su.{i}", "su", m, "torus", off))
-        off += m
-    for j, _ in enumerate(kns, start=1):
-        out.append(Factor(f"su2.{j}", "su", 2, "torus", off))
-        off += 1
-    off = 0
-    for i, m in enumerate(ms, start=1):
-        out.append(Factor(f"s1.{i}", "circle", 1, "torus", off + m - 1))
-        off += m
-    slot = 0
-    for j, (k, n) in enumerate(kns, start=1):
-        out.append(Factor(f"u.{j}", "u", k, "uslot", slot))
-        slot += 1
-        if n > 0:
-            out.append(Factor(f"sp.{j}", "sp", n, "uslot", slot))
-            slot += 1
+    # VIII: block factors under their VIII keys, moved past the torus and
+    # u-slots of earlier blocks; su, then circles, then u-slots, in block order
+    out, off, slot = [], 0, 0
+    for block, keys in blocks(spec):
+        for f, key in zip(factors(block), keys):
+            out.append(f._replace(key=key, pos=f.pos + (off if f.kind == "torus" else slot)))
+        off += torus_dim(block)
+        slot += len(u_slots(block))
+    out.sort(key=lambda f: (f.kind == "uslot", f.family == "circle"))
     return tuple(out)
 
 
+def blocks(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[str, ...]], ...]:
+    """The blocks of a family VIII spec in block order, each with the VIII
+    keys of its factors: ``VI(n=m_i)`` with (su.i, s1.i), then
+    ``VII(k=k_j, n=n_j)`` with (su2.j, u.j[, sp.j])."""
+    vi = [case_spec("VI", n=m) for m in spec["m"]]
+    vii = [case_spec("VII", k=k, n=n) for k, n in spec["kn"]]
+    return tuple(
+        (block, tuple(f"{f.key}.{i}" for f in factors(block)))
+        for group in (vi, vii)
+        for i, block in enumerate(group, start=1)
+    )
+
+
 def torus_dim(spec: CaseSpec) -> int:
-    cid = spec.case_id
-    if cid in ("I", "VII"):
-        return 1
-    if cid in ("II", "III"):
-        return 2
-    if cid == "IV":
-        return spec["n"]
-    if cid in ("V", "VI"):
-        return spec["n"]
-    if cid == "IX":
-        return 0
-    return sum(spec["m"]) + len(spec["kn"])
+    """Torus coordinates of K: rank - 1 per su factor, the rank otherwise."""
+    return sum(f.rank - (f.family == "su") for f in factors(spec) if f.kind == "torus")
 
 
 def u_slots(spec: CaseSpec) -> tuple[tuple[str, int], ...]:
@@ -342,34 +337,7 @@ def _sym_sym_u(r: int, s: int, k: int) -> list[IrrepLabel]:
     """Irreducible u(k) constituents of Sym^r (x) Sym^s (multiplicity free)."""
     if k == 1:
         return [IrrepLabel("u", 1, (r + s,))]
-    out = []
-    for c in range(min(r, s) + 1):
-        out.append(IrrepLabel("u", k, (r + s - c, c) + (0,) * (k - 2)))
-    return out
-
-
-def _su_block_entries(m: int, budget: int) -> Iterator[tuple[int, tuple[int, ...], tuple, tuple]]:
-    """Type-(VI) block: monomials on C^m as (degree, torus coords, (), params)."""
-    for d in range(budget + 1):
-        for vec in _vectors_of_degree(m, d):
-            torus = tuple(vec[i] - vec[-1] for i in range(m - 1)) + (d,)
-            yield d, torus, (), (("m_vec", vec),)
-
-
-def _su2_block_entries(k: int, n: int, budget: int) -> Iterator[tuple[int, tuple[int, ...], tuple, tuple]]:
-    """Type-(VII) block: (degree, one torus coord, u-slot labels, params)."""
-    for r in range(budget + 1):
-        for s in range(budget - r + 1):
-            j_range = range(budget - r - s + 1) if n > 0 else (0,)
-            for j in j_range:
-                deg = r + s + j
-                torus = (r - s + j,)
-                for mu in _sym_sym_u(r, s, k):
-                    ulabs = (mu, IrrepLabel("sp", n, (j,) if j else ())) if n > 0 else (mu,)
-                    params = (("j", j), ("r", r), ("s", s), ("u_inner", mu.weight))
-                    if n == 0:
-                        params = (("r", r), ("s", s), ("u_inner", mu.weight))
-                    yield deg, torus, ulabs, params
+    return [IrrepLabel("u", k, (r + s - c, c) + (0,) * (k - 2)) for c in range(min(r, s) + 1)]
 
 
 @lru_cache(maxsize=128)
@@ -425,37 +393,37 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
                 out.append(OmegaEntry(d, vec, (), (("k_vec", vec),)))
     elif cid in ("V", "VI"):
         n = spec["n"]
-        for d, torus, ulabs, params in _su_block_entries(n, degree):
-            out.append(OmegaEntry(d, torus, ulabs, params))
+        for d in range(degree + 1):
+            for vec in _vectors_of_degree(n, d):
+                torus = tuple(x - vec[-1] for x in vec[:-1]) + (d,)
+                out.append(OmegaEntry(d, torus, (), (("m_vec", vec),)))
     elif cid == "VII":
-        for d, torus, ulabs, params in _su2_block_entries(spec["k"], spec["n"], degree):
-            out.append(OmegaEntry(d, torus, ulabs, params))
+        k, n = spec["k"], spec["n"]
+        for r in range(degree + 1):
+            for s in range(degree - r + 1):
+                for j in range(degree - r - s + 1) if n > 0 else (0,):
+                    jp = (("j", j),) if n > 0 else ()
+                    for mu in _sym_sym_u(r, s, k):
+                        ulabs = (mu, IrrepLabel("sp", n, (j,) if j else ())) if n > 0 else (mu,)
+                        params = jp + (("r", r), ("s", s), ("u_inner", mu.weight))
+                        out.append(OmegaEntry(r + s + j, (r - s + j,), ulabs, params))
     elif cid == "IX":
         n = spec["n"]
         for r in range(degree + 1):
             out.append(
                 OmegaEntry(r, (), (IrrepLabel("u", n, (r,) + (0,) * (n - 1)),), (("r", r),))
             )
-    else:  # VIII: graded product over blocks
-        ms, kns = spec["m"], spec["kn"]
-
-        def blocks(idx_m: int, idx_kn: int, budget: int):
-            if idx_m < len(ms):
-                for d, torus, ulabs, params in _su_block_entries(ms[idx_m], budget):
-                    tag = (("block", f"su.{idx_m + 1}"),) + params
-                    for d2, t2, u2, p2 in blocks(idx_m + 1, idx_kn, budget - d):
-                        yield d + d2, torus + t2, ulabs + u2, (tag,) + p2
-            elif idx_kn < len(kns):
-                k, n = kns[idx_kn]
-                for d, torus, ulabs, params in _su2_block_entries(k, n, budget):
-                    tag = (("block", f"su2.{idx_kn + 1}"),) + params
-                    for d2, t2, u2, p2 in blocks(idx_m, idx_kn + 1, budget - d):
-                        yield d + d2, torus + t2, ulabs + u2, (tag,) + p2
-            else:
-                yield 0, (), (), ()
-
-        for d, torus, ulabs, params in blocks(0, 0, degree):
-            out.append(OmegaEntry(d, torus, ulabs, (("blocks", params),)))
+    else:  # VIII: graded product of the block series, each term tagged
+        acc = [(0, (), (), ())]
+        for block, keys in blocks(spec):
+            tag = ("block", keys[0])
+            acc = [
+                (d + e.degree, t + e.torus, u + e.ulabels, p + ((tag,) + e.params,))
+                for d, t, u, p in acc
+                for e in omega_entries(block, degree)
+                if d + e.degree <= degree
+            ]
+        out = [OmegaEntry(d, t, u, (("blocks", p),)) for d, t, u, p in acc]
     out.sort(key=lambda e: (e.degree, e.torus, tuple(l.sort_key() for l in e.ulabels), e.params))
     return tuple(out)
 

@@ -35,6 +35,7 @@ from .cases import (
     CaseSpec,
     CompositeLabel,
     TauSpec,
+    blocks,
     case_spec,
     factors,
     product_terms,
@@ -144,18 +145,8 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[list[CompositeLabe
 
 
 def _blocks(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:
-    """The type-(VI) and type-(VII) blocks of a family VIII spec, each with
-    its piece of tau: ``VI(n=m_i)`` with (su.i, s1.i) and ``VII(k=k_j,
-    n=n_j)`` with (su2.j, u.j[, sp.j])."""
-    out = []
-    for i, m in enumerate(spec["m"], start=1):
-        block = case_spec("VI", n=m)
-        out.append((block, TauSpec(block, (tau.label(f"su.{i}"), tau.label(f"s1.{i}")))))
-    for j, (k, n) in enumerate(spec["kn"], start=1):
-        block = case_spec("VII", k=k, n=n)
-        keys = (f"su2.{j}", f"u.{j}") + ((f"sp.{j}",) if n > 0 else ())
-        out.append((block, TauSpec(block, tuple(tau.label(key) for key in keys))))
-    return out
+    """The blocks of a family VIII spec (``cases.blocks``), each with its piece of tau."""
+    return [(b, TauSpec(b, tuple(tau.label(key) for key in keys))) for b, keys in blocks(spec)]
 
 
 def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict:
@@ -193,8 +184,9 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
 
 
 def verify_witness(spec: CaseSpec, tau: TauSpec, verdict: Verdict) -> bool:
-    """Recompute every production route of the witness independently and
-    confirm they reproduce the recorded label and multiplicity."""
+    """Recompute every production route of the witness with the
+    ``production_routes`` that ``classify`` uses, and confirm they reproduce
+    the recorded routes and multiplicity."""
     if not verdict.multiplicity_found:
         return True
     recomputed = production_routes(spec, tau, verdict.degree_bound, verdict.witness)

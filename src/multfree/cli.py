@@ -8,7 +8,8 @@ Command-line front end.
 
 Exit codes: 0 success/consistent, 1 inconsistency or bounded-certificate
 gap, 2 malformed input, 3 internal failure (an ``OracleError`` or any other
-uncaught exception, reported as one ``error: internal:`` line).  ``--json``
+uncaught exception, reported as one ``error: internal:`` line), 141 stdout
+closed by its reader (the code of ``yes | head -1``, with no stderr line).  ``--json``
 switches every command to a machine-readable rendering with no prose fields.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cases import CaseSpec, case_spec, tau_spec
@@ -313,10 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; let the flush at exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # a bug, never a verdict: keep it off exit 1
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -262,40 +262,32 @@ def _strips_within(base: Partition, bound: Partition, cap: int) -> Iterator[tupl
     yield from fill(0, [], 0)
 
 
-def _schur_poly(lam: Partition, k: int) -> LaurentPoly:
-    """Schur polynomial s_lam(x_1..x_k) via chains of horizontal strips."""
+def _strip_chain(lam: Partition, k: int, steps) -> LaurentPoly:
+    """Sum over chains of horizontal strips from () to lam, one per step
+    (var, sign, cap): at most cap rows, each cell a factor x_var^sign."""
     if len(lam) > k:
         return LaurentPoly.zero(k)
     state: dict[Partition, LaurentPoly] = {(): LaurentPoly.one(k)}
-    for i in range(k):
+    for var, sign, cap in steps:
         new: dict[Partition, LaurentPoly] = {}
         for shape, poly in state.items():
-            for t, added in _strips_within(shape, lam, cap=i + 1):
-                step = (0,) * i + (added,) + (0,) * (k - i - 1)
-                contrib = poly.shift(step)
+            for t, added in _strips_within(shape, lam, cap=cap):
+                e = [0] * k
+                e[var] = sign * added
+                contrib = poly.shift(e)
                 new[t] = new[t] + contrib if t in new else contrib
         state = new
     return state.get(lam, LaurentPoly.zero(k))
 
 
+def _schur_poly(lam: Partition, k: int) -> LaurentPoly:
+    """Schur polynomial s_lam(x_1..x_k) via chains of horizontal strips."""
+    return _strip_chain(lam, k, [(i, 1, i + 1) for i in range(k)])
+
+
 def _symplectic_poly(lam: Partition, n: int) -> LaurentPoly:
     """Symplectic character sp_lam(x_1^+-1 .. x_n^+-1) via King chains."""
-    if len(lam) > n:
-        return LaurentPoly.zero(n)
-    state: dict[Partition, LaurentPoly] = {(): LaurentPoly.one(n)}
-    for step in range(1, 2 * n + 1):
-        var = (step + 1) // 2 - 1
-        sign = 1 if step % 2 == 1 else -1
-        cap = (step + 1) // 2
-        new: dict[Partition, LaurentPoly] = {}
-        for shape, poly in state.items():
-            for t, added in _strips_within(shape, lam, cap=cap):
-                e = [0] * n
-                e[var] = sign * added
-                contrib = poly.shift(e)
-                new[t] = new[t] + contrib if t in new else contrib
-        state = new
-    return state.get(lam, LaurentPoly.zero(n))
+    return _strip_chain(lam, n, [(i, sign, i + 1) for i in range(n) for sign in (1, -1)])
 
 
 def _even_signed_perms(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from multfree.cases import (
     CompositeLabel,
+    Factor,
     TauSpec,
     case_spec,
     factor_weights,
@@ -71,6 +72,23 @@ def test_factor_layout():
     assert u_slots(spec) == (("u", 2), ("sp", 1))
     spec2 = case_spec("II", k1=0, k2=2)
     assert [f.key for f in factors(spec2)] == ["su2a", "su2b", "spb"]
+    # two blocks of each type: torus offsets run over the su(3) block
+    # (coordinates 0-2), the su(4) block (3-6) and the two su(2) blocks (7, 8);
+    # u-slots run over u.1, sp.1, u.2
+    spec3 = case_spec("VIII", m=(3, 4), kn=((2, 1), (1, 0)))
+    assert factors(spec3) == (
+        Factor("su.1", "su", 3, "torus", 0),
+        Factor("su.2", "su", 4, "torus", 3),
+        Factor("su2.1", "su", 2, "torus", 7),
+        Factor("su2.2", "su", 2, "torus", 8),
+        Factor("s1.1", "circle", 1, "torus", 2),
+        Factor("s1.2", "circle", 1, "torus", 6),
+        Factor("u.1", "u", 2, "uslot", 0),
+        Factor("sp.1", "sp", 1, "uslot", 1),
+        Factor("u.2", "u", 1, "uslot", 2),
+    )
+    assert torus_dim(spec3) == 9
+    assert u_slots(spec3) == (("u", 2), ("sp", 1), ("u", 1))
 
 
 def test_tau_spec_construction():
@@ -435,3 +453,55 @@ def test_omega_case_ix_matches_monomial_model():
                 for e, c in weyl_character(lab).items():
                     terms[e] = terms.get(e, 0) + c
         assert series == model, n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        case_spec("VIII", m=(3,), kn=((2, 1),)),
+        case_spec("VIII", kn=((2, 0), (1, 1))),
+        case_spec("VIII", m=(3, 3)),
+    ],
+    ids=str,
+)
+def test_omega_case_viii_matches_monomial_model(spec):
+    # first-principles check of the family VIII series: polynomials on the
+    # sum of C^{m_i} and C^2 (x) C^{k_j} + C^{2n_j}, graded by total degree.
+    # The torus holds, block after block, the su(m_i)-torus character
+    # (a_1 - a_m, ..., a_{m-1} - a_m) and the degree |a| of the C^{m_i}
+    # exponents a, then r - s + j for each su(2) block (row-1 degree r,
+    # row-2 degree s, sp degree j); the u-slots hold, block after block, the
+    # u(k_j) weight (column sums of both rows) and the sp(n_j) weight.
+    from multfree.irreps import weyl_character
+
+    top = 3
+    ms, kns = spec["m"], spec["kn"]
+    nvars = sum(ms) + sum(2 * k + 2 * n for k, n in kns)
+    model = {}
+    for d in range(top + 1):
+        terms = model.setdefault(d, {})
+        for v in _exponent_vectors(nvars, d):
+            torus, uweights, at = (), (), 0
+            for m in ms:
+                a = v[at : at + m]
+                at += m
+                torus += tuple(x - a[-1] for x in a[:-1]) + (sum(a),)
+            for k, n in kns:
+                row1, row2, c = v[at : at + k], v[at + k : at + 2 * k], v[at + 2 * k : at + 2 * k + 2 * n]
+                at += 2 * k + 2 * n
+                torus += (sum(row1) - sum(row2) + sum(c),)
+                uweights += tuple(x + y for x, y in zip(row1, row2))
+                uweights += tuple(c[2 * i] - c[2 * i + 1] for i in range(n))
+            e = torus + uweights
+            terms[e] = terms.get(e, 0) + 1
+    series = {}
+    for oe in omega_entries(spec, top):
+        terms = series.setdefault(oe.degree, {})
+        parts = [weyl_character(lab).terms for lab in oe.ulabels]
+        for combo in itertools.product(*[list(t.items()) for t in parts]):
+            e = oe.torus + tuple(x for exps, _ in combo for x in exps)
+            coeff = 1
+            for _, c in combo:
+                coeff *= c
+            terms[e] = terms.get(e, 0) + coeff
+    assert series == model

@@ -1,11 +1,23 @@
+import contextlib
+import io
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multfree.classify as classify_mod
+from multfree.cases import case_spec, factor_weights, tau_spec
+from multfree.classify import cross_check
 from multfree.cli import main
+from multfree.irreps import FormalSum, IrrepLabel, decompose_product, label_from_json
+from multfree.sp_pieri import pieri_tensor
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -243,3 +255,136 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(2) + (1,1) + ()"
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        # the reader takes one line and closes the pipe; a one-page pipe keeps
+        # most of the 60 kB of output unwritten, so the writer meets the closed end
+        (["verify-theorem1", "--bound", "1", "--degree", "2", "--json"], b"{\n"),
+        # the reader is gone before the one line, held in the stdout buffer, is written
+        (["pieri", "1", "--s", "1", "--n", "2"], None),
+    ],
+    ids=["after-one-line", "before-output"],
+)
+def test_closed_stdout_exits_141(argv, first_line):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a resizable pipe")
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    if first_line is None:
+        os.close(read_fd)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multfree.cli", *argv],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_fd)
+    if first_line is not None:
+        with os.fdopen(read_fd, "rb") as out:
+            assert out.readline() == first_line
+    _, err = proc.communicate()
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def _readme_commands():
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        if line.startswith("multfree "):
+            cmd, _, want = line.partition("# ->")
+            yield shlex.split(cmd, comments=True)[1:], want.strip() or None
+
+
+def test_readme_commands_hold(capsys):
+    commands = list(_readme_commands())
+    assert len(commands) >= 8
+    for argv, want in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if want is not None:
+            assert out.strip() == want, argv
+
+
+def _json_of(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) in (0, 1), argv
+    return json.loads(buf.getvalue())
+
+
+_FAMILY_RANKS = [("sp", 1), ("sp", 2), ("u", 1), ("u", 2), ("su", 2), ("su", 3)]
+
+
+@st.composite
+def _small_pair(draw):
+    family, rank = draw(st.sampled_from(_FAMILY_RANKS))
+    # the command line reads a weight per group, so the empty weight is out
+    weights = st.sampled_from([w for w in factor_weights(family, rank, 2) if w])
+    return family, rank, draw(weights), draw(weights)
+
+
+def _arg(weight):
+    return ",".join(map(str, weight))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_pair())
+def test_tensor_json_reads_back_as_formal_sum(pair):
+    family, rank, a, b = pair
+    data = _json_of("tensor", family, str(rank), "--json", "--", _arg(a), "--", _arg(b))
+    got = FormalSum.from_json(data)
+    assert got == decompose_product([IrrepLabel(family, rank, a), IrrepLabel(family, rank, b)])
+    assert got.to_json() == data
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_pieri_json_reads_back_as_formal_sum(n, s, data):
+    eta = data.draw(st.sampled_from(factor_weights("sp", n, 3)))
+    out = _json_of("pieri", *map(str, eta), "--s", str(s), "--n", str(n), "--json")
+    got = FormalSum.from_json(out)
+    assert got == pieri_tensor(eta, s, n)
+    assert got.to_json() == out
+
+
+VIII_3_1 = case_spec("VIII", m=(3,), kn=((1, 0),))
+
+
+@pytest.mark.parametrize(
+    "argv, spec, weights",
+    [
+        (("I", "--n", "2"), case_spec("I", n=2), {"su2": (1,), "sp": (1,)}),
+        (("I", "--n", "2"), case_spec("I", n=2), {"sp": (1, 1)}),
+        (("VII", "--k", "2", "--n", "1"), case_spec("VII", k=2, n=1), {"u": (1, 0)}),
+        (("VIII", "--m", "3", "--kn", "1,0"), VIII_3_1, {"su2.1": (1,)}),
+        (("VIII", "--m", "3", "--kn", "1,0"), VIII_3_1, {"s1.1": (2,), "u.1": (-1,)}),
+    ],
+)
+def test_classify_json_witness_reads_back_as_label(argv, spec, weights):
+    tau_arg = ",".join(f"{key}={_arg(w)}" for key, w in weights.items())
+    data = _json_of("classify", *argv, "--tau", tau_arg, "--degree", "5", "--json")
+    verdict = cross_check(spec, tau_spec(spec, **weights), 5).verdict
+    assert ("witness" in data) == verdict.multiplicity_found
+    if verdict.multiplicity_found:
+        assert label_from_json(data["witness"]) == verdict.witness
+        assert verdict.witness.to_json() == data["witness"]
+
+
+def test_verify_json_witness_reads_back_as_label():
+    data = _json_of("verify-theorem1", "--bound", "1", "--degree", "4", "--cases", "I,VIII", "--json")
+    specs = [s for s in classify_mod.default_grid() if s.case_id in ("I", "VIII")]
+    rows = [row for spec in specs for row in classify_mod.sweep(spec, 1, 4)]
+    assert len(data["rows"]) == len(rows)
+    found = 0
+    for got, row in zip(data["rows"], rows):
+        assert ("witness" in got) == row.verdict.multiplicity_found
+        if row.verdict.multiplicity_found:
+            found += 1
+            assert label_from_json(got["witness"]) == row.verdict.witness
+    assert 0 < found < len(rows)
