@@ -11,11 +11,12 @@ non-circle intertwiner factors).  The families are:
     II    spin(4) x sp(k1) x sp(k2), reduced to two circles:
           omega = sum chi_(r+l1, s+l2) (x) eta_(r) (x) eta_(s)
     III   sp(2) x sp(n):      omega = sum chi_(r,s) (x) [eta_(r) (x) eta_(s)]
-          with the inner product expanded into irreducibles
+          with the inner product expanded by ``tensor_pair``
     IV    so(2n):             omega = sum over v in Z_{>=0}^n of chi_v
     V/VI  su(n) x circle:     one character per monomial on C^n
     VII   su(2) x u(k) x sp(n):
           omega = sum chi_(r-s+j) (x) [Sym^r (x) Sym^s] (x) eta_(j)
+          with the u(k) product expanded by ``tensor_pair``
     VIII  graded products of type-(VI) and type-(VII) blocks
     IX    u(n) on the Heisenberg group: omega = sum_r Sym^r
 
@@ -49,13 +50,13 @@ from typing import Iterator, NamedTuple
 from .irreps import (
     FormalSum,
     IrrepLabel,
+    OracleError,
     render_label,
     tensor_pair,
     trivial,
     weight_system,
 )
 from .partitions import all_partitions
-from .sp_pieri import tensor_sym_sym
 
 CASE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 
@@ -333,11 +334,13 @@ def _vectors_of_degree(n: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _sym_sym_u(r: int, s: int, k: int) -> list[IrrepLabel]:
-    """Irreducible u(k) constituents of Sym^r (x) Sym^s (multiplicity free)."""
-    if k == 1:
-        return [IrrepLabel("u", 1, (r + s,))]
-    return [IrrepLabel("u", k, (r + s - c, c) + (0,) * (k - 2)) for c in range(min(r, s) + 1)]
+def _row_product(family: str, rank: int, r: int, s: int) -> list[IrrepLabel]:
+    """Constituents of (r) (x) (s) in sp(n) or u(k), a multiplicity-free product."""
+    rows = [IrrepLabel(family, rank, (x,) + (0,) * (rank - 1)) for x in (r, s)]
+    out = tensor_pair(*rows)
+    if any(m != 1 for m in out.values()):
+        raise OracleError(f"{rows[0]} (x) {rows[1]} is not multiplicity free")
+    return list(out)
 
 
 @lru_cache(maxsize=128)
@@ -376,8 +379,7 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
         n = spec["n"]
         for r in range(degree + 1):
             for s in range(degree - r + 1):
-                for lab, mult in tensor_sym_sym(r, s, n).items_sorted():
-                    assert mult == 1
+                for lab in _row_product("sp", n, r, s):
                     out.append(
                         OmegaEntry(
                             r + s,
@@ -403,7 +405,7 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
             for s in range(degree - r + 1):
                 for j in range(degree - r - s + 1) if n > 0 else (0,):
                     jp = (("j", j),) if n > 0 else ()
-                    for mu in _sym_sym_u(r, s, k):
+                    for mu in _row_product("u", k, r, s):
                         ulabs = (mu, IrrepLabel("sp", n, (j,) if j else ())) if n > 0 else (mu,)
                         params = jp + (("r", r), ("s", s), ("u_inner", mu.weight))
                         out.append(OmegaEntry(r + s + j, (r - s + j,), ulabs, params))
@@ -482,30 +484,18 @@ def tau_restriction(spec: CaseSpec, tau: TauSpec) -> FormalSum:
 
 
 def product_terms(
-    spec: CaseSpec, tau: TauSpec, degree: int, torus: tuple[int, ...] | None = None
+    spec: CaseSpec, tau: TauSpec, degree: int
 ) -> Iterator[tuple[OmegaEntry, TauEntry, CompositeLabel, int]]:
     """
     Every production of the truncated series omega (x) tau restricted to the
     torus-times-intertwiner subgroup, as ``(omega entry, tau entry, label,
     multiplicity)``, omega entries in degree order: torus characters add and
-    u-slot factors are decomposed by the oracle.  With ``torus`` given, only
-    the tau entries on ``torus`` minus the omega torus vector are paired,
-    found by one lookup in an index of the tau entries by torus vector.
+    u-slot factors are decomposed by the oracle.
     """
     tentries = tau_entries(spec, tau)
-    if torus is not None:
-        by_torus: dict[tuple[int, ...], list[TauEntry]] = {}
-        for te in tentries:
-            by_torus.setdefault(te.torus, []).append(te)
     for oe in omega_entries(spec, degree):
-        if torus is not None:
-            paired = by_torus.get(tuple(a - b for a, b in zip(torus, oe.torus)), ())
-        else:
-            paired = tentries
-        for te in paired:
+        for te in tentries:
             t = tuple(a + b for a, b in zip(oe.torus, te.torus))
-            if torus is not None and t != torus:
-                continue  # only when ``torus`` has the wrong length
             per_slot = [tensor_pair(a, b).items() for a, b in zip(oe.ulabels, te.ulabels)]
             for combo in itertools.product(*per_slot):
                 mult = te.mult
@@ -526,12 +516,28 @@ def omega_tensor_tau(spec: CaseSpec, tau: TauSpec, degree: int) -> FormalSum:
 def production_routes(
     spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel
 ) -> list[dict]:
-    """All (omega term, tau term) productions of ``target``, with multiplicities."""
-    return [
-        {"degree": oe.degree, "omega": dict(oe.params), "tau": dict(te.weights), "mult": mult}
-        for oe, te, lab, mult in product_terms(spec, tau, degree, target.torus)
-        if lab.ulabels == target.ulabels
-    ]
+    """
+    All (omega term, tau term) productions of ``target``, with multiplicities.
+    Each omega entry is paired only with the tau entries on ``target``'s torus
+    vector minus its own, found by one lookup in an index of the tau entries
+    by torus vector; a target of the wrong shape for ``spec`` has no route.
+    """
+    if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(u_slots(spec)):
+        return []
+    by_torus: dict[tuple[int, ...], list[TauEntry]] = {}
+    for te in tau_entries(spec, tau):
+        by_torus.setdefault(te.torus, []).append(te)
+    routes = []
+    for oe in omega_entries(spec, degree):
+        for te in by_torus.get(tuple(a - b for a, b in zip(target.torus, oe.torus)), ()):
+            mult = te.mult
+            for a, b, want in zip(oe.ulabels, te.ulabels, target.ulabels):
+                mult *= tensor_pair(a, b).get(want, 0)
+            if mult:
+                routes.append(
+                    {"degree": oe.degree, "omega": dict(oe.params), "tau": dict(te.weights), "mult": mult}
+                )
+    return routes
 
 
 # ---------------------------------------------------------------------------

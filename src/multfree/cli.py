@@ -1,8 +1,8 @@
 """
 Command-line front end.
 
-    multfree pieri 2 1 --s 2 --n 2          universal one-row rule
-    multfree tensor sp 2 -- 2 1 -- 2        tensor decomposition (oracle)
+    multfree pieri 2 1 --s 2 --n 2          universal one-row rule (closed form)
+    multfree tensor sp 2 -- 2 1 -- 2        tensor decomposition (Brauer-Klimyk)
     multfree classify I --n 2 --tau su2=1,sp=1 --degree 4
     multfree verify-theorem1 --bound 2 --degree 6 --cases I,VII
 
@@ -11,6 +11,7 @@ gap, 2 malformed input, 3 internal failure (an ``OracleError`` or any other
 uncaught exception, reported as one ``error: internal:`` line), 141 stdout
 closed by its reader (the code of ``yes | head -1``, with no stderr line).  ``--json``
 switches every command to a machine-readable rendering with no prose fields.
+In ``tensor`` an empty weight group is the zero weight of su or sp (``tensor sp 2 -- -- 1``).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def _nonnegative(text: str) -> int:
 
 
 def _parse_weight_groups(raw: list[str]) -> list[tuple[int, ...]]:
+    """Weights separated by ``--``; an empty group is the empty weight."""
     groups: list[list[int]] = [[]]
     for tok in raw:
         if tok == "--":
@@ -65,7 +67,7 @@ def _parse_weight_groups(raw: list[str]) -> list[tuple[int, ...]]:
                 piece = piece.strip()
                 if piece:
                     groups[-1].append(_parse_int(piece))
-    return [tuple(g) for g in groups if g or len(groups) == 1]
+    return [tuple(g) for g in groups]
 
 
 def parse_tau(spec: CaseSpec, text: str | None):
@@ -145,33 +147,21 @@ def cmd_tensor(args) -> int:
     family = args.family.lower()
     if family not in ("su", "sp", "u", "so"):
         raise InputError(f"unsupported family {args.family!r}")
-    rank = args.rank
-    # REMAINDER swallows trailing flags, so pick them out by hand
-    raw = []
-    for tok in args.weights:
-        if tok == "--json":
-            args.json = True
-        elif tok == "--oracle-only":
-            args.oracle_only = True
-        else:
-            raw.append(tok)
+    tokens = args.weights
+    # REMAINDER swallows trailing flags, so pick them out by hand; argparse
+    # strips the ``--`` right after the rank but keeps one after a flag
+    args.json = args.json or "--json" in tokens
+    raw = [tok for tok in tokens if tok != "--json"]
+    if tokens[:1] == ["--json"] and raw[:1] == ["--"]:
+        raw = raw[1:]
     groups = _parse_weight_groups(raw)
     if len(groups) < 2:
         raise InputError("need at least two weights separated by --")
     try:
-        labels = [IrrepLabel(family, rank, w) for w in groups]
+        labels = [IrrepLabel(family, args.rank, w) for w in groups]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    result = None
-    if not args.oracle_only and family == "sp" and len(labels) == 2:
-        rows = [lab for lab in labels if len(lab.weight) <= 1]
-        if rows:
-            row = rows[0]
-            other = labels[1] if row is labels[0] else labels[0]
-            s = row.weight[0] if row.weight else 0
-            result = pieri_tensor(other.weight, s, rank)
-    if result is None:
-        result = decompose_product(labels)
+    result = decompose_product(labels)
     if args.json:
         _print_json(result.to_json())
     else:
@@ -273,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="su | sp | u | so")
     p.add_argument("rank", type=int)
     p.add_argument("weights", nargs=argparse.REMAINDER, help="weights separated by --")
-    p.add_argument("--oracle-only", action="store_true", help="bypass closed forms")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tensor)
 

@@ -12,9 +12,10 @@ Three rules are implemented:
                     horizontal strips with |eta/c| + |sigma/c| = s, sigma of
                     length at most n.
 
-Outside their validity windows the first two silently delegate to the
-character oracle and tag the result "via-oracle"; the classifier must stay
-correct at small rank where the displayed labels would be too long.
+Outside their validity windows the first two delegate to the character
+oracle and tag the result "via-oracle".  The rules are checked against that
+oracle, which makes every decomposition of the classifier and of
+``multfree tensor``; only ``multfree pieri`` and the tests call them.
 """
 
 from __future__ import annotations

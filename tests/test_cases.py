@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,13 +16,16 @@ from multfree.cases import (
     omega_series,
     omega_tensor_tau,
     product_terms,
+    production_routes,
     tau_candidates,
     tau_restriction,
     tau_spec,
     torus_dim,
     u_slots,
 )
+from multfree.classify import Verdict, verify_witness
 from multfree.irreps import IrrepLabel, dimension, is_multiplicity_free, sp, u
+from multfree.sp_pieri import tensor_sym_sym
 
 
 def _torus_sets(fs):
@@ -141,6 +145,29 @@ def test_omega_case_iii_inner_expansion():
         CompositeLabel((1, 1), (sp(2, 1, 1),)),
         CompositeLabel((1, 1), (sp(2),)),
     }
+    # every (r, s) slice is the closed row (x) row rule of sp_pieri
+    for n in (1, 2, 3):
+        slices: dict = {}
+        for oe in omega_entries(case_spec("III", n=n), 6):
+            slices.setdefault(oe.torus, Counter())[oe.ulabels[0]] += 1
+        assert set(slices) == {(r, s) for r in range(7) for s in range(7 - r)}
+        for (r, s), got in slices.items():
+            assert dict(got) == tensor_sym_sym(r, s, n).entries, (n, r, s)
+
+
+def test_omega_case_vii_row_product():
+    # each (r, s) slice carries Sym^r (x) Sym^s of u(k): the labels
+    # (r+s-c, c, 0, ...) for c <= min(r, s), each once; u(1) has c = 0 only
+    for k in (1, 2, 3):
+        slices: dict = {}
+        for oe in omega_entries(case_spec("VII", k=k, n=0), 6):
+            p = dict(oe.params)
+            slices.setdefault((p["r"], p["s"]), Counter())[oe.ulabels[0]] += 1
+        assert set(slices) == {(r, s) for r in range(7) for s in range(7 - r)}
+        for (r, s), got in slices.items():
+            cs = range(min(r, s) + 1) if k > 1 else (0,)
+            want = {IrrepLabel("u", k, ((r + s - c, c) + (0,) * k)[:k]): 1 for c in cs}
+            assert dict(got) == want, (k, r, s)
 
 
 def test_omega_multiplicity_free_everywhere():
@@ -254,23 +281,50 @@ def test_product_terms_conserve_dimension(tau_and_degree):
     assert got == want, str(tau)
 
 
+def _route_multiset(routes):
+    return Counter(
+        (r["degree"], tuple(r["omega"].items()), tuple(r["tau"].items()), r["mult"]) for r in routes
+    )
+
+
+def _beyond(lab):
+    w = lab.weight or (0,)
+    return IrrepLabel(lab.family, lab.rank, (w[0] + 99,) + w[1:])
+
+
 @settings(max_examples=40, deadline=None)
 @given(_small_tau_and_degree(), st.integers(0, 10**6))
 @example((tau_spec(case_spec("IX", n=2), u=(1, -1)), 3), 0)
 @example((tau_spec(case_spec("VII", k=2, n=0), su2=(1,), u=(1, 0)), 3), 1)
 @example((tau_spec(case_spec("VIII", m=(3,), kn=((1, 0),)), **{"su.1": (1,), "su2.1": (2,)}), 3), 4)
-def test_product_terms_torus_index(tau_and_degree, pick):
-    # the torus-indexed scan yields exactly the unfiltered productions whose
-    # label lies on the asked torus vector, in the same order
+def test_production_routes_match_product_terms(tau_and_degree, pick):
+    # the routes of a target are exactly its unfiltered productions
     tau, degree = tau_and_degree
     spec = tau.spec
     everything = list(product_terms(spec, tau, degree))
-    tori = sorted({label.torus for _, _, label, _ in everything})
-    tori.append(tuple(x + 99 for x in tori[0]))  # on no production unless empty
-    t = tori[pick % len(tori)]
-    want = [term for term in everything if term[2].torus == t]
-    assert list(product_terms(spec, tau, degree, torus=t)) == want, (str(tau), t)
-    assert list(product_terms(spec, tau, degree, torus=t + (0,))) == []
+    labels = sorted({label for _, _, label, _ in everything}, key=CompositeLabel.sort_key)
+    target = labels[pick % len(labels)]
+    want = Counter(
+        (oe.degree, oe.params, te.weights, mult) for oe, te, label, mult in everything if label == target
+    )
+    routes = production_routes(spec, tau, degree, target)
+    assert _route_multiset(routes) == want, (str(tau), str(target))
+    total = sum(r["mult"] for r in routes)
+    verdict = Verdict(True, degree, target, total, 0, tuple(routes))
+    assert verify_witness(spec, tau, verdict) == (total >= 2)
+    # a target on no production, and targets one entry too long or short
+    misfits = [
+        CompositeLabel(tuple(x + 99 for x in target.torus), tuple(map(_beyond, target.ulabels))),
+        CompositeLabel(target.torus + (0,), target.ulabels),
+        CompositeLabel(target.torus, target.ulabels + (sp(1),)),
+    ]
+    if target.torus:
+        misfits.append(CompositeLabel(target.torus[:-1], target.ulabels))
+    if target.ulabels:
+        misfits.append(CompositeLabel(target.torus, target.ulabels[:-1]))
+    for bad in misfits:
+        assert production_routes(spec, tau, degree, bad) == [], (str(tau), str(bad))
+        assert not verify_witness(spec, tau, Verdict(True, degree, bad, total, 0, tuple(routes)))
 
 
 def test_factor_weight_enumeration():

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import multfree.classify as classify_mod
 from multfree.cases import case_spec, factor_weights, tau_spec
@@ -42,7 +42,7 @@ def test_pieri_json_matches_oracle(capsys):
     code, out, _ = run_cli(capsys, "pieri", "2", "1", "--s", "2", "--n", "2", "--json")
     assert code == 0
     got = json.loads(out)
-    code, out, _ = run_cli(capsys, "tensor", "sp", "2", "--oracle-only", "--json", "--", "2", "1", "--", "2")
+    code, out, _ = run_cli(capsys, "tensor", "sp", "2", "--json", "--", "2", "1", "--", "2")
     assert code == 0
     assert json.loads(out) == got
 
@@ -92,6 +92,39 @@ def test_tensor_bad_weight_exits_2(capsys):
 def test_tensor_needs_two_weights(capsys):
     code, _, err = run_cli(capsys, "tensor", "sp", "2", "--", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--", "--", "1"),  # argparse strips the first ``--``
+        ("--json", "--", "--", "1"),  # argparse keeps the first ``--``
+        ("--", "1", "--"),
+    ],
+)
+def test_tensor_empty_group_is_zero_weight(capsys, argv):
+    code, out, err = run_cli(capsys, "tensor", "sp", "2", *argv)
+    assert (code, err) == (0, "")
+    want = decompose_product([IrrepLabel("sp", 2, ()), IrrepLabel("sp", 2, (1,))])
+    if "--json" in argv:
+        assert json.loads(out) == want.to_json()
+    else:
+        assert out.strip() == "(1)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--",), "need at least two weights"),
+        (("--json", "--", "1"), "need at least two weights"),
+        (("--json", "--"), "need at least two weights"),
+        (("--oracle-only", "--", "1", "--", "2"), "not an integer: '--oracle-only'"),
+    ],
+)
+def test_tensor_rejects_missing_weight(capsys, argv, message):
+    code, out, err = run_cli(capsys, "tensor", "sp", "2", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_classify_case_i_witness(capsys):
@@ -324,8 +357,7 @@ _FAMILY_RANKS = [("sp", 1), ("sp", 2), ("u", 1), ("u", 2), ("su", 2), ("su", 3)]
 @st.composite
 def _small_pair(draw):
     family, rank = draw(st.sampled_from(_FAMILY_RANKS))
-    # the command line reads a weight per group, so the empty weight is out
-    weights = st.sampled_from([w for w in factor_weights(family, rank, 2) if w])
+    weights = st.sampled_from(factor_weights(family, rank, 2))
     return family, rank, draw(weights), draw(weights)
 
 
@@ -335,9 +367,14 @@ def _arg(weight):
 
 @settings(max_examples=30, deadline=None)
 @given(_small_pair())
+@example(("sp", 2, (), (1,)))
+@example(("su", 3, (1,), ()))
+@example(("sp", 1, (), ()))
 def test_tensor_json_reads_back_as_formal_sum(pair):
     family, rank, a, b = pair
-    data = _json_of("tensor", family, str(rank), "--json", "--", _arg(a), "--", _arg(b))
+    # the empty su/sp weight is written as an empty group, with no token
+    groups = [tok for w in (a, b) for tok in ("--", _arg(w)) if tok]
+    data = _json_of("tensor", family, str(rank), "--json", *groups)
     got = FormalSum.from_json(data)
     assert got == decompose_product([IrrepLabel(family, rank, a), IrrepLabel(family, rank, b)])
     assert got.to_json() == data
