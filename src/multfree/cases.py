@@ -56,7 +56,6 @@ from .irreps import (
     trivial,
     weight_system,
 )
-from .partitions import all_partitions
 
 CASE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 
@@ -83,48 +82,43 @@ class CaseSpec:
         return f"{self.case_id}({inner})"
 
 
+_CASE_PARAMS = {"II": ("k1", "k2"), "VII": ("k", "n"), "VIII": ("m", "kn")}
+
+
 def case_spec(case_id: str, **kwargs) -> CaseSpec:
     """Validated entry of the classification list."""
     case_id = case_id.upper()
     if case_id not in CASE_IDS:
         raise ValueError(f"unknown case {case_id!r}")
-    if case_id in ("I", "III", "IX"):
-        n = int(kwargs.pop("n"))
-        if kwargs or n < 1:
-            raise ValueError(f"case {case_id} takes n >= 1")
-        return CaseSpec(case_id, (("n", n),))
+    names = _CASE_PARAMS.get(case_id, ("n",))
+    for key in kwargs:
+        if key not in names:
+            raise ValueError(f"case {case_id} takes no parameter {key!r}")
+    if case_id == "VIII":
+        m = tuple(int(x) for x in kwargs.get("m", ()))
+        kn = tuple((int(k), int(n)) for k, n in kwargs.get("kn", ()))
+        if any(x < 3 for x in m):
+            raise ValueError("case VIII needs every m_i >= 3")
+        if any(k < 1 or n < 0 for k, n in kn):
+            raise ValueError("case VIII needs k_j >= 1 and n_j >= 0")
+        if not m and not kn:
+            raise ValueError("case VIII needs at least one block")
+        return CaseSpec("VIII", (("kn", kn), ("m", m)))
+    for key in names:
+        if key not in kwargs:
+            raise ValueError(f"case {case_id} needs {key}")
+    p = {key: int(kwargs[key]) for key in names}
     if case_id == "II":
-        k1, k2 = int(kwargs.pop("k1")), int(kwargs.pop("k2"))
-        if kwargs or k1 < 0 or k2 < 0 or k1 + k2 < 1:
-            raise ValueError("case II takes k1, k2 >= 0 with k1 + k2 >= 1")
-        return CaseSpec(case_id, (("k1", k1), ("k2", k2)))
-    if case_id == "IV":
-        n = int(kwargs.pop("n"))
-        if kwargs or n < 2:
-            raise ValueError("case IV takes n >= 2")
-        return CaseSpec(case_id, (("n", n),))
-    if case_id in ("V", "VI"):
-        n = int(kwargs.pop("n"))
-        if kwargs or n < 3:
-            raise ValueError(f"case {case_id} takes n >= 3")
-        return CaseSpec(case_id, (("n", n),))
-    if case_id == "VII":
-        k, n = int(kwargs.pop("k")), int(kwargs.pop("n"))
-        if kwargs or k < 1 or n < 0:
-            raise ValueError("case VII takes k >= 1 and n >= 0")
-        return CaseSpec(case_id, (("k", k), ("n", n)))
-    # VIII
-    m = tuple(int(x) for x in kwargs.pop("m", ()))
-    kn = tuple((int(k), int(n)) for k, n in kwargs.pop("kn", ()))
-    if kwargs:
-        raise ValueError("case VIII takes m=(m_1,..) and kn=((k_1,n_1),..)")
-    if any(x < 3 for x in m):
-        raise ValueError("case VIII needs every m_i >= 3")
-    if any(k < 1 or n < 0 for k, n in kn):
-        raise ValueError("case VIII needs k_j >= 1 and n_j >= 0")
-    if not m and not kn:
-        raise ValueError("case VIII needs at least one block")
-    return CaseSpec("VIII", (("kn", kn), ("m", m)))
+        ok = p["k1"] >= 0 and p["k2"] >= 0 and p["k1"] + p["k2"] >= 1
+        rule = "k1, k2 >= 0 with k1 + k2 >= 1"
+    elif case_id == "VII":
+        ok, rule = p["k"] >= 1 and p["n"] >= 0, "k >= 1 and n >= 0"
+    else:
+        least = {"IV": 2, "V": 3, "VI": 3}.get(case_id, 1)
+        ok, rule = p["n"] >= least, f"n >= {least}"
+    if not ok:
+        raise ValueError(f"case {case_id} takes {rule}")
+    return CaseSpec(case_id, tuple(p.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +186,12 @@ def factors(spec: CaseSpec) -> tuple[Factor, ...]:
 
 
 def blocks(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[str, ...]], ...]:
-    """The blocks of a family VIII spec in block order, each with the VIII
-    keys of its factors: ``VI(n=m_i)`` with (su.i, s1.i), then
-    ``VII(k=k_j, n=n_j)`` with (su2.j, u.j[, sp.j])."""
+    """The blocks of a spec in block order, each with the keys its factors
+    have in ``spec``.  A family VIII spec has ``VI(n=m_i)`` with (su.i, s1.i),
+    then ``VII(k=k_j, n=n_j)`` with (su2.j, u.j[, sp.j]); a spec of any
+    other family is its own single block."""
+    if spec.case_id != "VIII":
+        return ((spec, tuple(f.key for f in factors(spec))),)
     vi = [case_spec("VI", n=m) for m in spec["m"]]
     vii = [case_spec("VII", k=k, n=n) for k, n in spec["kn"]]
     return tuple(
@@ -544,38 +541,18 @@ def production_routes(
 # tau enumeration for sweeps
 
 
-def _u_weights(k: int, bound: int) -> list[tuple[int, ...]]:
-    out = []
-    for w in itertools.product(range(bound, -bound - 1, -1), repeat=k):
-        if all(a >= b for a, b in zip(w, w[1:])) and sum(abs(x) for x in w) <= bound:
-            out.append(w)
-    return out
-
-
-def _so_weights(n: int, bound: int) -> list[tuple[int, ...]]:
-    out = []
-    for w in itertools.product(range(bound, -bound - 1, -1), repeat=n):
-        if (
-            all(a >= b for a, b in zip(w[:-1], w[1:-1]))
-            and w[-2] >= abs(w[-1])
-            and sum(abs(x) for x in w) <= bound
-        ):
-            out.append(w)
-    return out
-
-
 def factor_weights(family: str, rank: int, bound: int) -> list[tuple[int, ...]]:
-    """All label weights of total size <= bound for one factor, graded order."""
-    if family == "su":
-        ws = [tuple(p) for p in all_partitions(bound, rank - 1)]
-    elif family == "sp":
-        ws = [tuple(p) for p in all_partitions(bound, rank)]
-    elif family == "u":
-        ws = _u_weights(rank, bound)
-    elif family == "so":
-        ws = _so_weights(rank, bound)
-    else:
-        ws = [(t,) for t in range(-bound, bound + 1)]
+    """All label weights of total size <= bound for one factor, graded order:
+    the canonical weights of the integer vectors (of length rank - 1 for su,
+    1 for a circle, the rank otherwise) that ``IrrepLabel`` accepts."""
+    length = {"su": rank - 1, "circle": 1}.get(family, rank)
+    ws = set()
+    for vec in itertools.product(range(-bound, bound + 1), repeat=length):
+        if sum(map(abs, vec)) <= bound:
+            try:
+                ws.add(IrrepLabel(family, rank, vec).weight)
+            except ValueError:
+                pass
     return sorted(ws, key=lambda w: (sum(abs(x) for x in w), w))
 
 

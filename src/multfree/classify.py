@@ -11,13 +11,10 @@ omega (x) tau restricted to the torus-times-intertwiner subgroup:
 
 A family VIII series is the graded product of its type-(VI) and type-(VII)
 blocks, on disjoint torus coordinates and u-slots, and tau splits the same
-way.  A composite label (L_1, ..., L_b) has multiplicity
-sum_{d_1 + ... + d_b <= D} prod_i c_i(L_i, d_i), so the product is
-multiplicity-free up to D exactly when every block series (x) its tau piece
-is: each sum is at most prod_i A_i(L_i) <= 1, and a repeated block label
-paired with a degree-0 term of the other blocks stays repeated.  Multi-block
-certificates are therefore decided block by block; witnesses, their
-multiplicities and their routes still come from the full product scan.
+way; a spec of any other family is its own single block.  Every spec is
+decided, and its witness found, from the scans of its blocks (see
+``classify``); the full product series is only walked for the witness's
+multiplicity and routes.
 
 ``expected_verdict`` encodes the published classification table for the
 nine families; ``cross_check`` compares it against the computed verdict and
@@ -68,7 +65,7 @@ class Verdict:
             out["witness"] = self.witness.to_json()
             out["multiplicity"] = self.multiplicity
             out["witness_degree"] = self.witness_degree
-            out["routes"] = [_route_json(r) for r in self.routes]
+            out["routes"] = json.loads(json.dumps(self.routes))  # tuples as lists
         return out
 
     @classmethod
@@ -91,17 +88,6 @@ class Verdict:
         return f"multiplicity-free up to degree {self.degree_bound}"
 
 
-def _route_json(route: dict) -> dict:
-    def clean(v):
-        if isinstance(v, tuple):
-            return [clean(x) for x in v]
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
-        return v
-
-    return clean(route)
-
-
 @dataclass(frozen=True)
 class ExpectedVerdict:
     commutative: bool
@@ -121,10 +107,11 @@ def deg_window(spec: CaseSpec, tau: TauSpec) -> int:
     return tau.weight_size() + 4
 
 
-def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[list[CompositeLabel], int | None]:
+def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[list, int | None, CompositeLabel]:
     """
-    The labels that first reach multiplicity >= 2 at the witness degree, and
-    that degree (None when the series is multiplicity-free up to ``degree``).
+    The labels that first reach multiplicity >= 2 at the witness degree, that
+    degree (None when the series is multiplicity-free up to ``degree``), and
+    the least label of the degree-0 part of the series.
 
     Omega terms come in degree order, so the scan stops once the first degree
     at which some label reaches multiplicity 2 is complete: any later witness
@@ -133,20 +120,30 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[list[CompositeLabe
     counts: dict[CompositeLabel, int] = {}
     found: list[CompositeLabel] = []
     witness_degree = None
+    least0 = None
     for oe, _, lab, mult in product_terms(spec, tau, degree):
         if witness_degree is not None and oe.degree > witness_degree:
             break
+        if oe.degree == 0 and (least0 is None or lab.sort_key() < least0.sort_key()):
+            least0 = lab
         c = counts.get(lab, 0) + mult
         counts[lab] = c
         if c >= 2 and c - mult < 2:
             found.append(lab)
             witness_degree = oe.degree
-    return found, witness_degree
+    return found, witness_degree, least0
 
 
 def _blocks(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:
-    """The blocks of a family VIII spec (``cases.blocks``), each with its piece of tau."""
+    """The blocks of a spec (``cases.blocks``), each with its piece of tau."""
     return [(b, TauSpec(b, tuple(tau.label(key) for key in keys))) for b, keys in blocks(spec)]
+
+
+def _join(labels: list[CompositeLabel]) -> CompositeLabel:
+    """The composite label of one label per block, in block order."""
+    return CompositeLabel(
+        sum((lab.torus for lab in labels), ()), sum((lab.ulabels for lab in labels), ())
+    )
 
 
 def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict:
@@ -155,24 +152,47 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
     first label (by witness degree, then label order) with multiplicity >= 2,
     or the bounded multiplicity-freeness certificate.
 
-    The scan stops once the witness degree is complete; the witness's
-    ``multiplicity`` and ``routes`` still count every production up to the
-    truncation degree.  A family VIII spec with two or more blocks is first
-    decided block by block: when no block series (x) its tau piece has a
-    witness, the certificate is returned without drawing a term of the full
-    product series; otherwise the full series is scanned for the witness.
+    Each block series (x) its tau piece is scanned on its own, up to its
+    witness degree (``cases.blocks``; a spec outside family VIII is its own
+    single block).  A composite label (L_1, ..., L_b) of the product has
+    multiplicity sum_{d_1 + ... + d_b <= e} prod_i c_i(L_i, d_i) up to degree
+    e, where c_i(L_i, d) counts L_i at degree d of block i; let A_i(L_i, e)
+    count it up to degree e, and let d be the least block witness degree.
+
+    * Below d every A_i is at most 1, so the product multiplicity, at most
+      prod_i A_i(L_i, e), is too: the product has no witness below d, and
+      none at all when no block has one.
+    * At d, a multiplicity >= 2 takes one term with a factor >= 2 or two
+      terms that differ in some d_i.  Either way some L_i is counted twice
+      within degree d, so block i has witness degree d, L_i is one of its
+      first repeated labels, and that term has d_i = d and every other
+      d_j = 0.  Conversely such an L_i joined with degree-0 labels of the
+      other blocks has multiplicity >= A_i(L_i, d) >= 2.
+    * Label order compares the concatenated torus vectors, then the
+      concatenated u-labels, and each block has a fixed length in both, so
+      the least label of one such product set joins the least label of each
+      factor.  The witness is the least of these joins over the blocks i.
+
+    The witness's ``multiplicity`` and ``routes`` count every production of
+    the whole series up to the truncation degree.
     """
     if degree is None:
         degree = deg_window(spec, tau)
-    if spec.case_id == "VIII" and len(spec["m"]) + len(spec["kn"]) > 1:
-        if all(_scan(b, t, degree)[1] is None for b, t in _blocks(spec, tau)):
-            return Verdict(False, degree)
-    found, witness_degree = _scan(spec, tau, degree)
-    if not found:
+    scans = [_scan(b, t, degree) for b, t in _blocks(spec, tau)]
+    witness_degree = min((d for _, d, _ in scans if d is not None), default=None)
+    if witness_degree is None:
         return Verdict(False, degree)
-    witness = min(found, key=label_sort_key)
+    least0 = [z for _, _, z in scans]
+    witness = min(
+        (
+            _join(least0[:i] + [min(found, key=label_sort_key)] + least0[i + 1 :])
+            for i, (found, d, _) in enumerate(scans)
+            if d == witness_degree
+        ),
+        key=label_sort_key,
+    )
     routes = production_routes(spec, tau, degree, witness)
-    routes.sort(key=lambda r: (r["degree"], json.dumps(_route_json(r), sort_keys=True)))
+    routes.sort(key=lambda r: (r["degree"], json.dumps(r, sort_keys=True)))
     return Verdict(
         True,
         degree,
@@ -191,8 +211,8 @@ def verify_witness(spec: CaseSpec, tau: TauSpec, verdict: Verdict) -> bool:
         return True
     recomputed = production_routes(spec, tau, verdict.degree_bound, verdict.witness)
     total = sum(r["mult"] for r in recomputed)
-    canon = {json.dumps(_route_json(r), sort_keys=True) for r in recomputed}
-    recorded = {json.dumps(_route_json(r), sort_keys=True) for r in verdict.routes}
+    canon = {json.dumps(r, sort_keys=True) for r in recomputed}
+    recorded = {json.dumps(r, sort_keys=True) for r in verdict.routes}
     return total == verdict.multiplicity >= 2 and recorded == canon
 
 

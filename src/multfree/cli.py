@@ -172,7 +172,7 @@ def cmd_tensor(args) -> int:
 def _build_case(args) -> CaseSpec:
     try:
         return case_spec(args.case, **_case_kwargs(args))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 

@@ -66,6 +66,10 @@ def test_case_spec_validation():
         case_spec("VIII", m=(), kn=())
     with pytest.raises(ValueError):
         case_spec("X", n=1)
+    with pytest.raises(ValueError, match="^case I needs n$"):
+        case_spec("I")
+    with pytest.raises(ValueError, match="^case I takes no parameter 'k'$"):
+        case_spec("I", n=2, k=3)
 
 
 def test_factor_layout():

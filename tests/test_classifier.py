@@ -64,18 +64,31 @@ def test_classify_monotone_in_degree():
             assert bigger.witness_degree <= small.witness_degree
 
 
-def _full_scan_witness(spec, tau, degree):
-    # the rule without the stop: scan every production up to the degree and
-    # take the smallest (degree reached, label)
-    counts, reached = {}, {}
+def _full_scan_witnesses(spec, tau, degree):
+    # the rule without the stop, at every truncation e = 0..degree from one
+    # scan: count every production up to e and take the smallest
+    # (degree reached, label)
+    counts, reached, out = {}, {}, []
+
+    def witness():
+        if not reached:
+            return None
+        lab = min(reached, key=lambda x: (reached[x], label_sort_key(x)))
+        return lab, reached[lab], counts[lab]
+
     for oe, _, lab, mult in product_terms(spec, tau, degree):
+        while len(out) < oe.degree:
+            out.append(witness())
         counts[lab] = counts.get(lab, 0) + mult
         if counts[lab] >= 2:
             reached.setdefault(lab, oe.degree)
-    if not reached:
-        return None
-    lab = min(reached, key=lambda x: (reached[x], label_sort_key(x)))
-    return lab, reached[lab], counts[lab]
+    while len(out) <= degree:
+        out.append(witness())
+    return out
+
+
+def _full_scan_witness(spec, tau, degree):
+    return _full_scan_witnesses(spec, tau, degree)[degree]
 
 
 def test_classify_witness_monotone_and_minimal():
@@ -107,25 +120,29 @@ def test_classify_witness_monotone_and_minimal():
     ],
 )
 def test_classify_stops_after_the_witness_degree(monkeypatch, spec, weights):
-    drawn = []
+    tau = tau_spec(spec, **weights)
+    # the block holding the witness: the one with a nontrivial tau piece (a
+    # trivial piece leaves its block multiplicity-free); a spec outside
+    # family VIII is its own single block
+    (holder,) = [b for b, t in classify_mod._blocks(spec, tau) if not t.is_trivial]
+    drawn = {}
 
     def recording(scanned, *args, **kwargs):
-        # only the scan of this spec; a multi-block VIII spec also scans its
-        # blocks first
         for term in product_terms(scanned, *args, **kwargs):
-            if scanned == spec:
-                drawn.append(term[0])
+            drawn.setdefault(scanned, []).append(term[0])
             yield term
 
     monkeypatch.setattr(classify_mod, "product_terms", recording)
-    tau = tau_spec(spec, **weights)
     v = classify(spec, tau, 6)
     assert v.multiplicity_found
-    later = [oe for oe in omega_entries(spec, 6) if oe.degree > v.witness_degree]
+    # only the blocks are scanned: a multi-block VIII spec never is
+    assert set(drawn) == {b for b, _ in classify_mod._blocks(spec, tau)}
+    assert holder in drawn
+    later = [oe for oe in omega_entries(holder, 6) if oe.degree > v.witness_degree]
     assert len(later) > 1
     # above the witness degree the scan draws from the first omega entry
     # only, and none of the entries after it
-    past = list(dict.fromkeys(oe for oe in drawn if oe.degree > v.witness_degree))
+    past = list(dict.fromkeys(oe for oe in drawn[holder] if oe.degree > v.witness_degree))
     assert past == later[:1]
     # routes and multiplicity still cover every degree up to 6
     assert max(r["degree"] for r in v.routes) >= v.witness_degree
@@ -154,6 +171,39 @@ def test_viii_block_decision_matches_full_series():
             block_degree = min((d for d in scans if d is not None), default=None)
             assert v.witness_degree == block_degree, (str(spec), str(tau))
     assert rows == 180
+
+
+# rows whose witness sits at degree 0: the adjoint weight (2,1) of su(3)
+# repeats its zero weight, so the degree-0 term of a type-(VI) block repeats;
+# VIII(m=(3,3)) with su.1 = su.2 = (2,1) has two blocks repeating at degree 0
+DEGREE_ZERO_ROWS = (
+    (case_spec("VIII", m=(3, 3)), {"su.1": (2, 1), "su.2": (2, 1)}),
+    (case_spec("VIII", m=(3, 3)), {"su.1": (1, 1), "su.2": (2, 1), "s1.1": -1}),
+    (case_spec("VIII", m=(3, 3)), {"su.1": (2, 1), "s1.2": 1}),
+    (case_spec("VIII", m=(3,), kn=((1, 0),)), {"su.1": (2, 1), "su2.1": (1,)}),
+    (case_spec("VIII", m=(3,), kn=((2, 0),)), {"su.1": (2, 1), "u.1": (1, 0)}),
+    (case_spec("VIII", m=(3, 4), kn=((1, 0),)), {"su.2": (2, 1), "su2.1": (1,)}),
+)
+
+
+def test_block_witness_matches_full_series():
+    # the witness joined from the block scans against the full product scan:
+    # witness, witness degree and multiplicity
+    spec2 = case_spec("VIII", m=(3,), kn=((1, 0), (1, 0)))
+    rows = [(spec, tau) for spec in BLOCK_SPECS + (spec2,) for tau in tau_candidates(spec, 1)]
+    rows += [(spec, tau_spec(spec, **weights)) for spec, weights in DEGREE_ZERO_ROWS]
+    found = zero = 0
+    for spec, tau in rows:
+        for degree, full in enumerate(_full_scan_witnesses(spec, tau, 4)):
+            v = classify(spec, tau, degree)
+            if full is None:
+                assert not v.multiplicity_found, (str(spec), str(tau), degree)
+                continue
+            assert (v.witness, v.witness_degree, v.multiplicity) == full, (str(spec), str(tau), degree)
+            found += 1
+            zero += v.witness_degree == 0
+    # every degree-0 row has its witness at degree 0 at every truncation
+    assert found > 1000 and zero == 5 * len(DEGREE_ZERO_ROWS)
 
 
 def _graded_product(series, degree):
@@ -207,6 +257,12 @@ def test_viii_certificate_draws_no_term_of_the_full_series(monkeypatch):
     monkeypatch.setattr(classify_mod, "product_terms", recording)
     v = classify(spec, tau_spec(spec, **{"s1.1": 2, "u.1": (1, 1)}), 12)
     assert v == Verdict(False, 12)
+    assert scanned and spec not in scanned
+    # a witness row, too, takes its witness from the block scans alone
+    scanned.clear()
+    tau = tau_spec(spec, **{"su.1": (1,), "u.1": (1, 0)})
+    v = classify(spec, tau, 6)
+    assert v.multiplicity_found and verify_witness(spec, tau, v)
     assert scanned and spec not in scanned
 
 

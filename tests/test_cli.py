@@ -194,6 +194,23 @@ def test_classify_bad_case_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["I"], "case I needs n"),
+        (["VII", "--k", "2"], "case VII needs n"),
+        (["II", "--k1", "1"], "case II needs k2"),
+        (["I", "--n", "2", "--k", "3"], "case I takes no parameter 'k'"),
+        (["VIII", "--m", "3", "--n", "2"], "case VIII takes no parameter 'n'"),
+    ],
+)
+def test_classify_names_missing_or_extra_parameter(capsys, argv, message):
+    code, out, err = run_cli(capsys, "classify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
 def test_classify_bad_tau_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "I", "--n", "2", "--tau", "sp=1,2")
     assert code == 2
