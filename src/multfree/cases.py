@@ -277,13 +277,12 @@ def tau_spec(spec: CaseSpec, **weights) -> TauSpec:
 # composite labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CompositeLabel:
+    """A torus character and one label per u-slot; ordered by torus, then u-labels."""
+
     torus: tuple[int, ...]
     ulabels: tuple[IrrepLabel, ...]
-
-    def sort_key(self):
-        return (self.torus, tuple(l.sort_key() for l in self.ulabels))
 
     def to_json(self) -> dict:
         return {"torus": list(self.torus), "u": [l.to_json() for l in self.ulabels]}
@@ -423,7 +422,7 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
                 if d + e.degree <= degree
             ]
         out = [OmegaEntry(d, t, u, (("blocks", p),)) for d, t, u, p in acc]
-    out.sort(key=lambda e: (e.degree, e.torus, tuple(l.sort_key() for l in e.ulabels), e.params))
+    out.sort()
     return tuple(out)
 
 
@@ -564,5 +563,5 @@ def tau_candidates(spec: CaseSpec, bound: int) -> list[TauSpec]:
         for f in fs
     ]
     taus = [TauSpec(spec, combo) for combo in itertools.product(*choices)]
-    taus.sort(key=lambda t: (t.weight_size(), tuple(l.sort_key() for l in t.labels)))
+    taus.sort(key=lambda t: (t.weight_size(), t.labels))
     return taus

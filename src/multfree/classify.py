@@ -39,7 +39,6 @@ from .cases import (
     production_routes,
     tau_candidates,
 )
-from .irreps import label_sort_key
 
 CONSISTENT = "CONSISTENT"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -91,14 +90,10 @@ class Verdict:
 @dataclass(frozen=True)
 class ExpectedVerdict:
     commutative: bool
-    source: str
 
     @property
     def outcome(self) -> str:
         return "Commutative" if self.commutative else "NotCommutative"
-
-    def to_json(self) -> dict:
-        return {"expected": self.outcome, "source": self.source}
 
 
 def deg_window(spec: CaseSpec, tau: TauSpec) -> int:
@@ -124,7 +119,7 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[list, int | None, 
     for oe, _, lab, mult in product_terms(spec, tau, degree):
         if witness_degree is not None and oe.degree > witness_degree:
             break
-        if oe.degree == 0 and (least0 is None or lab.sort_key() < least0.sort_key()):
+        if oe.degree == 0 and (least0 is None or lab < least0):
             least0 = lab
         c = counts.get(lab, 0) + mult
         counts[lab] = c
@@ -185,11 +180,10 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
     least0 = [z for _, _, z in scans]
     witness = min(
         (
-            _join(least0[:i] + [min(found, key=label_sort_key)] + least0[i + 1 :])
+            _join(least0[:i] + [min(found)] + least0[i + 1 :])
             for i, (found, d, _) in enumerate(scans)
             if d == witness_degree
-        ),
-        key=label_sort_key,
+        )
     )
     routes = production_routes(spec, tau, degree, witness)
     routes.sort(key=lambda r: (r["degree"], json.dumps(r, sort_keys=True)))
@@ -204,12 +198,17 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
 
 
 def verify_witness(spec: CaseSpec, tau: TauSpec, verdict: Verdict) -> bool:
-    """Recompute every production route of the witness with the
-    ``production_routes`` that ``classify`` uses, and confirm they reproduce
-    the recorded routes and multiplicity."""
+    """Rebuild every production route of the witness from the whole product
+    series (``product_terms``, independent of the torus index that
+    ``production_routes`` uses), and confirm they reproduce the recorded
+    routes and multiplicity."""
     if not verdict.multiplicity_found:
         return True
-    recomputed = production_routes(spec, tau, verdict.degree_bound, verdict.witness)
+    recomputed = [
+        {"degree": oe.degree, "omega": dict(oe.params), "tau": dict(te.weights), "mult": mult}
+        for oe, te, lab, mult in product_terms(spec, tau, verdict.degree_bound)
+        if lab == verdict.witness
+    ]
     total = sum(r["mult"] for r in recomputed)
     canon = {json.dumps(r, sort_keys=True) for r in recomputed}
     recorded = {json.dumps(r, sort_keys=True) for r in verdict.routes}
@@ -227,11 +226,11 @@ def expected_verdict(spec: CaseSpec, tau: TauSpec) -> ExpectedVerdict:
         sp_label = tau.label("sp")
         su2 = tau.label("su2")
         ok = sp_label.is_trivial or (su2.is_trivial and _is_constant(sp_label.weight))
-        return ExpectedVerdict(ok, "reference table, family I (H-type)")
+        return ExpectedVerdict(ok)
     if cid in ("II", "III", "IV"):
-        return ExpectedVerdict(tau.is_trivial, f"reference table, family {cid}")
+        return ExpectedVerdict(tau.is_trivial)
     if cid in ("V", "VI"):
-        return ExpectedVerdict(tau.label("su").is_trivial, f"reference table, family {cid}")
+        return ExpectedVerdict(tau.label("su").is_trivial)
     if cid == "VII":
         # the u(k) weight must be a determinant power: for k >= 2 and a
         # non-constant weight mu, the (r, s) = (1, 1) term S^2 + L^2 of the
@@ -241,7 +240,7 @@ def expected_verdict(spec: CaseSpec, tau: TauSpec) -> ExpectedVerdict:
             and (spec["n"] == 0 or tau.label("sp").is_trivial)
             and _is_constant(tau.label("u").weight)
         )
-        return ExpectedVerdict(ok, "reference table, family VII")
+        return ExpectedVerdict(ok)
     if cid == "VIII":
         # commutative iff tau lives on the circles and on determinant powers
         # of the u(k_j) factors (the family VII condition, block by block)
@@ -250,8 +249,8 @@ def expected_verdict(spec: CaseSpec, tau: TauSpec) -> ExpectedVerdict:
             for f, lab in zip(factors(spec), tau.labels)
             if f.family != "circle"
         )
-        return ExpectedVerdict(ok, "reference table, family VIII")
-    return ExpectedVerdict(True, "reference table, family IX (strong Gelfand pair)")
+        return ExpectedVerdict(ok)
+    return ExpectedVerdict(True)
 
 
 @dataclass(frozen=True)

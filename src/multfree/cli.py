@@ -31,7 +31,6 @@ from .classify import (
     sweep,
 )
 from .irreps import IrrepLabel, decompose_product, render_formal_sum
-from .partitions import canonical
 from .sp_pieri import pieri_tensor
 
 
@@ -127,15 +126,10 @@ def _print_json(obj) -> None:
 
 
 def cmd_pieri(args) -> int:
-    if args.n < 1:
-        raise InputError(f"sp rank must be >= 1, got {args.n}")
     try:
-        eta = canonical(args.parts)
+        result = pieri_tensor(args.parts, args.s, args.n)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if len(eta) > args.n:
-        raise InputError(f"partition {eta} is longer than the rank {args.n}")
-    result = pieri_tensor(eta, args.s, args.n)
     if args.json:
         _print_json(result.to_json())
     else:

@@ -98,9 +98,6 @@ class IrrepLabel:
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.weight)
 
-    def sort_key(self):
-        return (self.family, self.rank, self.weight)
-
     def weight_size(self) -> int:
         return sum(abs(x) for x in self.weight)
 
@@ -144,12 +141,6 @@ def circle(r: int) -> IrrepLabel:
 # formal sums
 
 
-def label_sort_key(label):
-    if isinstance(label, tuple):
-        return label
-    return label.sort_key()
-
-
 def label_to_json(label):
     if isinstance(label, tuple):
         return list(label)
@@ -171,13 +162,15 @@ class FormalSum:
     A multiset of labels: mapping label -> multiplicity >= 1.
 
     ``truncation`` is None for exact decompositions and a degree bound D for
-    series cut at total grading degree D.  ``note`` records how the sum was
-    produced ("closed-form" vs "via-oracle") and does not affect equality.
+    series cut at total grading degree D.  Iteration, ``to_json`` and
+    ``repr`` run in label order: the field order of the label types
+    (``IrrepLabel``: family, rank, weight; ``CompositeLabel``: torus, then
+    u-labels), or the tuple order of weight vectors.
     """
 
-    __slots__ = ("entries", "truncation", "note")
+    __slots__ = ("entries", "truncation")
 
-    def __init__(self, entries=None, truncation: int | None = None, note: str | None = None):
+    def __init__(self, entries=None, truncation: int | None = None):
         self.entries: dict = {}
         if entries:
             for label, mult in dict(entries).items():
@@ -186,7 +179,6 @@ class FormalSum:
                 if mult > 0:
                     self.entries[label] = int(mult)
         self.truncation = truncation
-        self.note = note
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -205,7 +197,7 @@ class FormalSum:
         return self.entries.get(label, 0)
 
     def items_sorted(self) -> list:
-        return sorted(self.entries.items(), key=lambda kv: label_sort_key(kv[0]))
+        return sorted(self.entries.items())
 
     def is_multiplicity_free(self) -> bool:
         return all(m == 1 for m in self.entries.values())
@@ -393,9 +385,10 @@ def weight_system(label: IrrepLabel) -> FormalSum:
 # ---------------------------------------------------------------------------
 # the decomposition oracle
 
-# Weyl groups: permutations (A), signed permutations (C), and signed
-# permutations with an even number of sign changes (D)
-_WEYL_KIND = {"su": "A", "u": "A", "sp": "C", "so": "D"}
+# Weyl groups: permutations (A; trivial for the circle, type A of rank 1),
+# signed permutations (C), and signed permutations with an even number of
+# sign changes (D)
+_WEYL_KIND = {"su": "A", "u": "A", "circle": "A", "sp": "C", "so": "D"}
 
 
 def _reflect(kind: str, v: list[int]) -> tuple[int, tuple[int, ...]] | None:
@@ -423,9 +416,9 @@ def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     the sum over the weights mu of b, with multiplicity, of sign(w) times
     V[w(a + mu + rho) - rho], where w reflects a + mu + rho into the dominant
     chamber and terms on a wall vanish.  b is the factor of smaller Weyl
-    dimension, so only its character is built; su works on the u(m) lift.
-    Memoised on sorted weights; the returned dict iterates in
-    ``label_sort_key`` order.
+    dimension, so only its character is built; su works on the u(m) lift, and
+    the circle is type A of rank 1, whose Weyl group is trivial.  Memoised on
+    sorted weights; the returned dict iterates in label order.
     """
     if a.family != b.family or a.rank != b.rank:
         raise ValueError(f"family/rank mismatch: {a} vs {b}")
@@ -435,36 +428,33 @@ def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     if hit is not None:
         return hit
     fam, rank = a.family, a.rank
-    if fam == "circle":
-        result = {circle(a.weight[0] + b.weight[0]): 1}
-    else:
-        dim_a, dim_b = dimension(a), dimension(b)
-        if dim_b > dim_a:
-            a, b = b, a
-        top = rank if fam == "sp" else rank - 1
-        kind, rho = _WEYL_KIND[fam], tuple(range(top, top - rank, -1))
-        # su and sp labels are partitions: pad to the rank
-        shifted = [x + r for x, r in zip(a.weight + (0,) * (rank - len(a.weight)), rho)]
-        net: dict[tuple[int, ...], int] = {}
-        for mu, m in weyl_character(b).items():
-            image = _reflect(kind, [x + y for x, y in zip(shifted, mu)])
-            if image is not None:
-                sign, d = image
-                lam = tuple(x - r for x, r in zip(d, rho))
-                net[lam] = net.get(lam, 0) + sign * m
-        result = {}
-        for lam, c in net.items():
-            if c < 0:
-                raise OracleError(f"negative multiplicity {c} at {lam} in {a} (x) {b}")
-            if c:
-                if fam == "su":
-                    lam = tuple(x - lam[-1] for x in lam)
-                label = IrrepLabel(fam, rank, lam)
-                result[label] = result.get(label, 0) + c
-        got = sum(m * dimension(lab) for lab, m in result.items())
-        if got != dim_a * dim_b:
-            raise OracleError(f"dimension leak in {a} (x) {b}: {got} != {dim_a * dim_b}")
-    result = dict(sorted(result.items(), key=lambda kv: label_sort_key(kv[0])))
+    dim_a, dim_b = dimension(a), dimension(b)
+    if dim_b > dim_a:
+        a, b = b, a
+    top = rank if fam == "sp" else rank - 1
+    kind, rho = _WEYL_KIND[fam], tuple(range(top, top - rank, -1))
+    # su and sp labels are partitions: pad to the rank
+    shifted = [x + r for x, r in zip(a.weight + (0,) * (rank - len(a.weight)), rho)]
+    net: dict[tuple[int, ...], int] = {}
+    for mu, m in weyl_character(b).items():
+        image = _reflect(kind, [x + y for x, y in zip(shifted, mu)])
+        if image is not None:
+            sign, d = image
+            lam = tuple(x - r for x, r in zip(d, rho))
+            net[lam] = net.get(lam, 0) + sign * m
+    result = {}
+    for lam, c in net.items():
+        if c < 0:
+            raise OracleError(f"negative multiplicity {c} at {lam} in {a} (x) {b}")
+        if c:
+            if fam == "su":
+                lam = tuple(x - lam[-1] for x in lam)
+            label = IrrepLabel(fam, rank, lam)
+            result[label] = result.get(label, 0) + c
+    got = sum(m * dimension(lab) for lab, m in result.items())
+    if got != dim_a * dim_b:
+        raise OracleError(f"dimension leak in {a} (x) {b}: {got} != {dim_a * dim_b}")
+    result = dict(sorted(result.items()))
     _PAIR_CACHE[key] = result
     return result
 
@@ -529,11 +519,11 @@ def render_label(label: IrrepLabel) -> str:
     return glyph + "(" + ",".join(map(str, label.weight)) + ")"
 
 
-def render_formal_sum(s: FormalSum, renderer=render_weight) -> str:
+def render_formal_sum(s: FormalSum) -> str:
     if not s.entries:
         return "0"
     bits = []
-    for lab, m in sorted(s.entries.items(), key=lambda kv: label_sort_key(kv[0]), reverse=True):
-        txt = renderer(lab)
+    for lab, m in sorted(s.entries.items(), reverse=True):
+        txt = render_weight(lab)
         bits.append(txt if m == 1 else f"{m}*{txt}")
     return " + ".join(bits)

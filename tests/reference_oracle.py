@@ -9,7 +9,7 @@ other.  It is slow: every constituent's full character is built.
 
 from __future__ import annotations
 
-from multfree.irreps import IrrepLabel, OracleError, label_sort_key, weyl_character
+from multfree.irreps import IrrepLabel, OracleError, weyl_character
 from multfree.laurent import LaurentPoly
 
 
@@ -51,7 +51,7 @@ def greedy_decompose(poly: LaurentPoly, family: str, rank: int) -> dict[IrrepLab
 
 
 def reference_tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
-    """a (x) b by greedy peeling, in ``label_sort_key`` order like
+    """a (x) b by greedy peeling, in label order like
     ``tensor_pair``; su runs on the u(m) lifts and renormalises labels."""
     fam, rank = a.family, a.rank
     if fam == "su":
@@ -64,4 +64,4 @@ def reference_tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]
             result[key] = result.get(key, 0) + m
     else:
         result = greedy_decompose(weyl_character(a) * weyl_character(b), fam, rank)
-    return dict(sorted(result.items(), key=lambda kv: label_sort_key(kv[0])))
+    return dict(sorted(result.items()))

@@ -28,7 +28,7 @@ from multfree.classify import (
     sweep,
     verify_witness,
 )
-from multfree.irreps import decompose_product, is_multiplicity_free, label_sort_key, sp, u
+from multfree.irreps import decompose_product, is_multiplicity_free, sp, u
 
 
 def test_classify_case_i_witness_and_routes():
@@ -73,7 +73,7 @@ def _full_scan_witnesses(spec, tau, degree):
     def witness():
         if not reached:
             return None
-        lab = min(reached, key=lambda x: (reached[x], label_sort_key(x)))
+        lab = min(reached, key=lambda x: (reached[x], x))
         return lab, reached[lab], counts[lab]
 
     for oe, _, lab, mult in product_terms(spec, tau, degree):
@@ -262,8 +262,8 @@ def test_viii_certificate_draws_no_term_of_the_full_series(monkeypatch):
     scanned.clear()
     tau = tau_spec(spec, **{"su.1": (1,), "u.1": (1, 0)})
     v = classify(spec, tau, 6)
-    assert v.multiplicity_found and verify_witness(spec, tau, v)
     assert scanned and spec not in scanned
+    assert v.multiplicity_found and verify_witness(spec, tau, v)
 
 
 def test_classify_case_iv_standard_rep():
@@ -398,7 +398,7 @@ def test_cross_check_contradiction_row(monkeypatch):
     # a table that wrongly claims this known-witness triple commutative must
     # be reported as a contradiction
     monkeypatch.setattr(
-        classify_mod, "expected_verdict", lambda spec, tau: ExpectedVerdict(True, "patched")
+        classify_mod, "expected_verdict", lambda spec, tau: ExpectedVerdict(True)
     )
     row = cross_check(s7, tau, 5)
     assert row.consistency == CONTRADICTION

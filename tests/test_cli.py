@@ -182,7 +182,7 @@ def test_classify_contradiction_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         classify_mod,
         "expected_verdict",
-        lambda spec, tau: classify_mod.ExpectedVerdict(True, "patched"),
+        lambda spec, tau: classify_mod.ExpectedVerdict(True),
     )
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1

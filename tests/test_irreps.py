@@ -10,7 +10,6 @@ from multfree.irreps import (
     decompose_product,
     dimension,
     is_multiplicity_free,
-    label_sort_key,
     render_formal_sum,
     so,
     sp,
@@ -21,6 +20,7 @@ from multfree.irreps import (
     weight_system,
     weyl_character,
 )
+from multfree.cases import CompositeLabel
 from multfree.partitions import all_partitions
 
 
@@ -297,6 +297,32 @@ def test_characters_match_alternant_quotients():
             ), ("su", n, lam)
 
 
+def test_label_order_is_the_field_order():
+    # labels are built by keyword, so a reordering of the dataclass fields
+    # changes the order below instead of the meaning of the arguments
+    def lab(family, rank, *weight):
+        return IrrepLabel(family=family, rank=rank, weight=weight)
+
+    # family, then rank, then weight: every other order of the three fields
+    # sorts these six labels differently
+    want = [
+        lab("circle", 1, 5),
+        lab("so", 2, 0, 0),
+        lab("sp", 1, 3),
+        lab("sp", 2, 1),
+        lab("su", 3, 2),
+        lab("u", 1, 0),
+    ]
+    assert sorted(reversed(want)) == want
+    # torus, then u-labels
+    x = CompositeLabel(torus=(0, 1), ulabels=(sp(2, 2),))
+    y = CompositeLabel(torus=(1, 0), ulabels=(sp(2),))
+    z = CompositeLabel(torus=(0, 1), ulabels=(sp(2, 1),))
+    assert sorted([x, y, z]) == [z, x, y]
+    # a tie on the torus goes to the u-labels
+    assert min(x, z) == min(z, x) == z
+
+
 def test_tensor_pair_memo_transparent():
     from multfree.irreps import _PAIR_CACHE
 
@@ -308,4 +334,5 @@ def test_tensor_pair_memo_transparent():
     # stored once in label order, so scans iterate it without sorting
     for x, y in ((a, b), (su(3, 2, 1), su(3, 1)), (u(2, 1, 0), u(2, 1, -1))):
         labels = list(tensor_pair(x, y))
-        assert labels == sorted(labels, key=label_sort_key), (x, y)
+        keys = [(lab.family, lab.rank, lab.weight) for lab in labels]
+        assert keys == sorted(keys), (x, y)

@@ -25,9 +25,8 @@ def test_sym_sym_swaps_arguments():
     assert tensor_sym_sym(1, 2, 2).entries == tensor_sym_sym(2, 1, 2).entries
 
 
-def test_sym_sym_small_rank_falls_back_to_oracle():
+def test_sym_sym_rank_one_keeps_the_one_row_terms():
     out = tensor_sym_sym(1, 1, 1)
-    assert out.note == "via-oracle"
     assert _w(out) == {(2,): 1, (): 1}
 
 
@@ -41,11 +40,27 @@ def test_column_sym_examples():
     }
 
 
-def test_column_sym_out_of_range_falls_back():
+def test_column_sym_at_full_rank_drops_the_long_term():
     out = tensor_column_sym(2, 2, 2)
-    assert out.note == "via-oracle"
     assert _w(out) == {(3, 1): 1, (2,): 1, (1, 1): 1}
     assert out.entries == decompose_product([sp(2, 1, 1), sp(2, 2)]).entries
+
+
+def test_closed_forms_match_oracle_on_their_whole_domain():
+    def oracle(a, b, n):
+        return decompose_product([sp(n, *a), sp(n, *b)]).entries
+
+    for n in (1, 2, 3):
+        for r in range(5):
+            for s in range(5):
+                assert tensor_sym_sym(r, s, n).entries == oracle((r,), (s,), n), (r, s, n)
+    for n in (2, 3, 4):
+        for r in range(2, n + 1):
+            for s in (2, 3, 4):
+                assert tensor_column_sym(r, s, n).entries == oracle((1,) * r, (s,), n), (r, s, n)
+    for r, s, n in ((0, 2, 3), (1, 2, 3), (2, 0, 3), (2, 1, 3), (3, 2, 2), (2, 2, 1)):
+        with pytest.raises(ValueError):
+            tensor_column_sym(r, s, n)
 
 
 def test_pieri_coefficient_examples():
@@ -123,9 +138,14 @@ def test_dimension_conservation():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"partition \(1, 1, 1\) is longer than the rank 2"):
         pieri_tensor((1, 1, 1), 1, 2)
     with pytest.raises(ValueError):
         pieri_tensor((1,), -1, 2)
     with pytest.raises(ValueError):
         tensor_sym_sym(-1, 0, 2)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"sp rank must be >= 1, got {n}"):
+            pieri_tensor((), 1, n)
+        with pytest.raises(ValueError, match=f"sp rank must be >= 1, got {n}"):
+            pieri_coefficient((), 0, (), n)
