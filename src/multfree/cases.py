@@ -36,8 +36,8 @@ circle direction with the determinant direction of u(n), which both misses
 genuine collisions (the su-weight constructions of the source families) and
 invents spurious ones.
 
-All builders are pure; factor layouts are cached per case and omega entry
-lists per (case, degree bound).
+All builders are pure; factor layouts are cached per case, and omega entry
+lists and their torus index per (case, degree bound).
 """
 
 from __future__ import annotations
@@ -426,6 +426,16 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=128)
+def _omega_by_torus(spec: CaseSpec, degree: int) -> dict[tuple[int, ...], tuple[OmegaEntry, ...]]:
+    """The ``omega_entries(spec, degree)`` entries on each torus vector, in
+    series order.  Shared by every caller: read it, never change it."""
+    index: dict[tuple[int, ...], list[OmegaEntry]] = {}
+    for oe in omega_entries(spec, degree):
+        index.setdefault(oe.torus, []).append(oe)
+    return {torus: tuple(entries) for torus, entries in index.items()}
+
+
 def omega_series(spec: CaseSpec, degree: int) -> FormalSum:
     """The truncated metaplectic decomposition as a sum of composite labels."""
     entries: dict[CompositeLabel, int] = {}
@@ -514,18 +524,17 @@ def production_routes(
 ) -> list[dict]:
     """
     All (omega term, tau term) productions of ``target``, with multiplicities.
-    Each omega entry is paired only with the tau entries on ``target``'s torus
-    vector minus its own, found by one lookup in an index of the tau entries
-    by torus vector; a target of the wrong shape for ``spec`` has no route.
+    The omega series is indexed by torus vector once per (spec, degree); each
+    tau entry is paired only with the omega entries on ``target``'s torus
+    vector minus its own, found by one lookup in that index.  A target of the
+    wrong shape for ``spec`` has no route.
     """
     if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(u_slots(spec)):
         return []
-    by_torus: dict[tuple[int, ...], list[TauEntry]] = {}
-    for te in tau_entries(spec, tau):
-        by_torus.setdefault(te.torus, []).append(te)
+    by_torus = _omega_by_torus(spec, degree)
     routes = []
-    for oe in omega_entries(spec, degree):
-        for te in by_torus.get(tuple(a - b for a, b in zip(target.torus, oe.torus)), ()):
+    for te in tau_entries(spec, tau):
+        for oe in by_torus.get(tuple(a - b for a, b in zip(target.torus, te.torus)), ()):
             mult = te.mult
             for a, b, want in zip(oe.ulabels, te.ulabels, target.ulabels):
                 mult *= tensor_pair(a, b).get(want, 0)

@@ -74,6 +74,7 @@ def parse_tau(spec: CaseSpec, text: str | None):
     Mini-grammar: comma-separated ``factor=entries`` in the case's canonical
     factor order; a comma-separated segment without ``=`` continues the
     previous factor's weight, so ``su2=1,sp=2,1`` reads as su2=(1), sp=(2,1).
+    A factor named twice is an input error.
     """
     weights: dict[str, list[int]] = {}
     if text:
@@ -85,6 +86,8 @@ def parse_tau(spec: CaseSpec, text: str | None):
             if "=" in seg:
                 key, val = seg.split("=", 1)
                 current = key.strip()
+                if current in weights:
+                    raise InputError(f"tau factor {current!r} given twice")
                 weights[current] = []
                 if val.strip():
                     weights[current].append(_parse_int(val))
@@ -204,8 +207,10 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     specs = default_grid()
-    if args.cases:
+    if args.cases is not None:
         wanted = [c.strip().upper() for c in args.cases.split(",") if c.strip()]
+        if not wanted:
+            raise InputError(f"--cases {args.cases!r} names no case")
         for cid in wanted:
             if all(s.case_id != cid for s in specs):
                 raise InputError(f"unknown case {cid!r}")

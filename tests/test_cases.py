@@ -301,6 +301,10 @@ def _beyond(lab):
 @example((tau_spec(case_spec("IX", n=2), u=(1, -1)), 3), 0)
 @example((tau_spec(case_spec("VII", k=2, n=0), su2=(1,), u=(1, 0)), 3), 1)
 @example((tau_spec(case_spec("VIII", m=(3,), kn=((1, 0),)), **{"su.1": (1,), "su2.1": (2,)}), 3), 4)
+# torus vectors that hold several omega entries, each with a route to the target
+@example((tau_spec(case_spec("III", n=2), sp2=(1,), sp=(1,)), 4), 17)
+@example((tau_spec(case_spec("II", k1=1, k2=1), su2a=(1,), spb=(1,)), 4), 5)
+@example((tau_spec(case_spec("VIII", m=(3,), kn=((1, 0),)), **{"su2.1": (1,)}), 6), 14)
 def test_production_routes_match_product_terms(tau_and_degree, pick):
     # the routes of a target are exactly its unfiltered productions
     tau, degree = tau_and_degree

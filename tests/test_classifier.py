@@ -465,6 +465,36 @@ def test_stress_grid_consistent():
     assert not bad, bad[:5]
 
 
+# shapes default_grid() leaves out: so(6) and so(8), su(4) blocks, u(3),
+# VII with sp(2), II with k1 = 0 and VIII with a k >= 2 block
+BEYOND_GRID_SPECS = (
+    case_spec("I", n=4),
+    case_spec("II", k1=2, k2=1),
+    case_spec("II", k1=0, k2=2),
+    case_spec("III", n=3),
+    case_spec("IV", n=3),
+    case_spec("IV", n=4),
+    case_spec("V", n=4),
+    case_spec("VI", n=4),
+    case_spec("VII", k=3, n=0),
+    case_spec("VII", k=3, n=2),
+    case_spec("VII", k=2, n=2),
+    case_spec("VIII", m=(3,), kn=((2, 1),)),
+    case_spec("VIII", kn=((2, 0), (1, 1))),
+    case_spec("IX", n=3),
+    case_spec("IX", n=4),
+)
+
+
+def test_beyond_grid_consistent():
+    # the bound-2, degree-6 sweep of shapes outside default_grid(); a row that
+    # is not CONSISTENT is a finding to derive, never a spec to drop
+    rows = [row for spec in BEYOND_GRID_SPECS for row in sweep(spec, 2, 6)]
+    assert len(rows) == 2972
+    bad = [(str(r.spec), str(r.tau), r.consistency) for r in rows if r.consistency != CONSISTENT]
+    assert not bad, bad[:5]
+
+
 def test_classify_is_the_submodule():
     import multfree
 

@@ -216,6 +216,17 @@ def test_classify_bad_tau_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "tau, key", [("su2=1,su2=2", "su2"), ("sp=1,sp=2", "sp"), ("sp=1,2,su2=1, sp =0", "sp")]
+)
+def test_classify_repeated_tau_factor_exits_2(capsys, tau, key):
+    # the second value must not silently replace the first
+    code, out, err = run_cli(capsys, "classify", "I", "--n", "2", "--tau", tau)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: tau factor {key!r} given twice"
+
+
 def test_verify_small_grid(capsys):
     code, out, _ = run_cli(
         capsys, "verify-theorem1", "--bound", "1", "--degree", "4", "--cases", "I,IV"
@@ -255,6 +266,15 @@ def test_verify_unknown_case_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: unknown case 'X'"
+
+
+@pytest.mark.parametrize("cases", [",", "", " , ,"])
+def test_verify_cases_naming_no_case_exits_2(capsys, cases):
+    # an empty sweep would report success on zero rows
+    code, out, err = run_cli(capsys, "verify-theorem1", "--cases", cases)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: --cases {cases!r} names no case"
 
 
 @pytest.mark.parametrize(
