@@ -14,7 +14,10 @@ blocks, on disjoint torus coordinates and u-slots, and tau splits the same
 way; a spec of any other family is its own single block.  Every spec is
 decided, and its witness found, from the scans of its blocks (see
 ``classify``); the full product series is only walked for the witness's
-multiplicity and routes.
+multiplicity and routes.  Block scans are memoised on (block spec, tau
+piece, degree), since a sweep meets the same block with the same tau piece
+in many rows; a scan's result is immutable, so a shared entry cannot be
+changed by a caller.
 
 ``expected_verdict`` encodes the published classification table for the
 nine families; ``cross_check`` compares it against the computed verdict and
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cases import (
     CaseSpec,
@@ -102,15 +106,18 @@ def deg_window(spec: CaseSpec, tau: TauSpec) -> int:
     return tau.weight_size() + 4
 
 
-def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[list, int | None, CompositeLabel]:
+@lru_cache(maxsize=1024)
+def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[tuple, int | None, CompositeLabel]:
     """
-    The labels that first reach multiplicity >= 2 at the witness degree, that
-    degree (None when the series is multiplicity-free up to ``degree``), and
-    the least label of the degree-0 part of the series.
+    The labels that first reach multiplicity >= 2 at the witness degree (a
+    tuple), that degree (None when the series is multiplicity-free up to
+    ``degree``), and the least label of the degree-0 part of the series.
 
     Omega terms come in degree order, so the scan stops once the first degree
     at which some label reaches multiplicity 2 is complete: any later witness
     would be reached at a higher degree.
+
+    Memoised on (spec, tau, degree); every value returned is immutable.
     """
     counts: dict[CompositeLabel, int] = {}
     found: list[CompositeLabel] = []
@@ -126,7 +133,7 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[list, int | None, 
         if c >= 2 and c - mult < 2:
             found.append(lab)
             witness_degree = oe.degree
-    return found, witness_degree, least0
+    return tuple(found), witness_degree, least0
 
 
 def _blocks(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .laurent import LaurentPoly, exact_divide
@@ -339,29 +338,34 @@ def dimension(label: IrrepLabel) -> int:
     fam, rank, w = label.family, label.rank, label.weight
     if fam == "circle":
         return 1
-    d = Fraction(1)
+    num = den = 1
     if fam in ("su", "u"):
         lam = w + (0,) * (rank - len(w)) if fam == "su" else w
         for i in range(rank):
             for j in range(i + 1, rank):
-                d *= Fraction(lam[i] - lam[j] + j - i, j - i)
+                num *= lam[i] - lam[j] + j - i
+                den *= j - i
     elif fam == "sp":
         lam = w + (0,) * (rank - len(w))
         l = [lam[i] + rank - i for i in range(rank)]
         m = [rank - i for i in range(rank)]
         for i in range(rank):
-            d *= Fraction(l[i], m[i])
+            num *= l[i]
+            den *= m[i]
             for j in range(i + 1, rank):
-                d *= Fraction((l[i] - l[j]) * (l[i] + l[j]), (m[i] - m[j]) * (m[i] + m[j]))
+                num *= (l[i] - l[j]) * (l[i] + l[j])
+                den *= (m[i] - m[j]) * (m[i] + m[j])
     else:  # so
         l = [w[i] + rank - 1 - i for i in range(rank)]
         m = [rank - 1 - i for i in range(rank)]
         for i in range(rank):
             for j in range(i + 1, rank):
-                d *= Fraction((l[i] - l[j]) * (l[i] + l[j]), (m[i] - m[j]) * (m[i] + m[j]))
-    if d.denominator != 1:
+                num *= (l[i] - l[j]) * (l[i] + l[j])
+                den *= (m[i] - m[j]) * (m[i] + m[j])
+    d, rem = divmod(num, den)
+    if rem:
         raise OracleError(f"non-integral dimension for {label}")
-    return int(d)
+    return d
 
 
 def weight_system(label: IrrepLabel) -> FormalSum:

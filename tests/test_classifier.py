@@ -31,6 +31,13 @@ from multfree.classify import (
 from multfree.irreps import decompose_product, is_multiplicity_free, sp, u
 
 
+@pytest.fixture
+def cold_scans():
+    # block scans are memoised across calls; a test that records the terms a
+    # scan draws starts from an empty memo, so that every scan runs
+    classify_mod._scan.cache_clear()
+
+
 def test_classify_case_i_witness_and_routes():
     spec = case_spec("I", n=2)
     tau = tau_spec(spec, su2=(1,), sp=(1,))
@@ -119,7 +126,7 @@ def test_classify_witness_monotone_and_minimal():
         (case_spec("VIII", m=(3,), kn=((1, 0),)), {"su2.1": (1,)}),
     ],
 )
-def test_classify_stops_after_the_witness_degree(monkeypatch, spec, weights):
+def test_classify_stops_after_the_witness_degree(monkeypatch, cold_scans, spec, weights):
     tau = tau_spec(spec, **weights)
     # the block holding the witness: the one with a nontrivial tau piece (a
     # trivial piece leaves its block multiplicity-free); a spec outside
@@ -147,6 +154,9 @@ def test_classify_stops_after_the_witness_degree(monkeypatch, spec, weights):
     # routes and multiplicity still cover every degree up to 6
     assert max(r["degree"] for r in v.routes) >= v.witness_degree
     assert verify_witness(spec, tau, v)
+    # the memo serves a second classify of the row: no omega entry is drawn
+    drawn.clear()
+    assert classify(spec, tau, 6) == v and not drawn
 
 
 BLOCK_SPECS = (
@@ -246,7 +256,7 @@ def test_viii_series_is_the_graded_product_of_its_blocks(spec):
         assert whole == _graded_product(pieces, None), str(tau)
 
 
-def test_viii_certificate_draws_no_term_of_the_full_series(monkeypatch):
+def test_viii_certificate_draws_no_term_of_the_full_series(monkeypatch, cold_scans):
     spec = case_spec("VIII", m=(3,), kn=((2, 0),))
     scanned = []
 
@@ -264,6 +274,39 @@ def test_viii_certificate_draws_no_term_of_the_full_series(monkeypatch):
     v = classify(spec, tau, 6)
     assert scanned and spec not in scanned
     assert v.multiplicity_found and verify_witness(spec, tau, v)
+
+
+# VIII rows whose blocks are grid specs in their own right, so a sweep meets
+# the same block scans again in the VIII rows
+MEMO_SPECS = (
+    case_spec("VI", n=3),
+    case_spec("VII", k=1, n=0),
+    case_spec("VII", k=2, n=0),
+    case_spec("VIII", m=(3,), kn=((1, 0),)),
+    case_spec("VIII", kn=((2, 0),)),
+)
+
+
+def test_scan_memo_is_transparent():
+    # every verdict is the same whether each row starts from an empty memo or
+    # one warm pass runs the rows backwards: VIII rows before their blocks'
+    # own rows, and higher degrees first.  A scan stops at its witness degree,
+    # and every witness of these rows sits at degree 1 or 2, so degrees 2 and
+    # 6 draw the same terms; at degree 0 each of those rows is a certificate
+    rows = [
+        (spec, tau, degree)
+        for spec in MEMO_SPECS
+        for degree in (0, 2, 6)
+        for tau in tau_candidates(spec, 1)
+    ]
+    cold = []
+    for spec, tau, degree in rows:
+        classify_mod._scan.cache_clear()
+        cold.append(classify(spec, tau, degree).to_json())
+    classify_mod._scan.cache_clear()
+    warm = [classify(spec, tau, degree).to_json() for spec, tau, degree in reversed(rows)]
+    assert warm[::-1] == cold
+    assert any(v["verdict"] == "MultiplicityFound" for v in cold)
 
 
 def test_classify_case_iv_standard_rep():
