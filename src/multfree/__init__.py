@@ -42,7 +42,6 @@ from .irreps import (
 from .partitions import (
     Partition,
     canonical,
-    conjugate,
     contains,
     is_horizontal_strip,
     strip_predecessors,

@@ -71,20 +71,6 @@ class Verdict:
             out["routes"] = json.loads(json.dumps(self.routes))  # tuples as lists
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Verdict":
-        found = data["verdict"] == "MultiplicityFound"
-        if not found:
-            return cls(False, int(data["degree"]))
-        return cls(
-            True,
-            int(data["degree"]),
-            witness=CompositeLabel.from_json(data["witness"]),
-            multiplicity=int(data["multiplicity"]),
-            witness_degree=int(data["witness_degree"]),
-            routes=tuple(data["routes"]),
-        )
-
     def __str__(self) -> str:
         if self.multiplicity_found:
             return f"MULTIPLICITY at {self.witness} (x{self.multiplicity}, degree {self.witness_degree})"

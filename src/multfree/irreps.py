@@ -233,24 +233,17 @@ _CHAR_CACHE: dict[IrrepLabel, LaurentPoly] = {}
 
 def _strips_within(base: Partition, bound: Partition, cap: int) -> Iterator[tuple[Partition, int]]:
     """All shapes t with base in t in bound, t/base a horizontal strip and
-    len(t) <= cap, together with the number of added cells."""
+    len(t) <= cap, together with the number of added cells, in ascending
+    lexicographic order: row i of t runs up from base[i] to the lesser of
+    bound[i] and base[i-1]."""
     rows = min(cap, len(base) + 1, len(bound))
     if len(base) > rows:
         return
-    padded = base + (0,) * (rows - len(base))
-
-    def fill(i: int, acc: list[int], added: int):
-        if i == rows:
-            yield canonical(acc), added
-            return
-        lo = padded[i]
-        hi = min(bound[i], padded[i - 1]) if i > 0 else bound[i]
-        for v in range(lo, hi + 1):
-            acc.append(v)
-            yield from fill(i + 1, acc, added + v - lo)
-            acc.pop()
-
-    yield from fill(0, [], 0)
+    low = base + (0,) * (rows - len(base))
+    ranges = [range(lo, min(hi, up) + 1) for lo, hi, up in zip(low, bound, bound[:1] + low)]
+    base_size = sum(base)
+    for t in itertools.product(*ranges):
+        yield canonical(t), sum(t) - base_size
 
 
 def _strip_chain(lam: Partition, k: int, steps) -> LaurentPoly:

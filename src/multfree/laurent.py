@@ -24,6 +24,7 @@ class LaurentPoly:
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, int] | None = None):
         self.nvars = nvars
+        # the one zero filter: the arithmetic below leaves zero sums in place
         clean: dict[Exponent, int] = {}
         if terms:
             for e, c in terms.items():
@@ -56,27 +57,16 @@ class LaurentPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.nvars, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, 0) - c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) - c
         return LaurentPoly(self.nvars, out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -84,11 +74,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
 
     def scale(self, c: int) -> "LaurentPoly":

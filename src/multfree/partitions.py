@@ -14,6 +14,7 @@ horizontal strip iff it has at most one cell per column, equivalently iff
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -34,17 +35,6 @@ def canonical(parts: Iterable[int]) -> Partition:
 
 def size(p: Partition) -> int:
     return sum(p)
-
-
-def conjugate(p: Partition) -> Partition:
-    """Reflect the diagram along the main diagonal."""
-    if not p:
-        return ()
-    cols = [0] * p[0]
-    for row in p:
-        for j in range(row):
-            cols[j] += 1
-    return tuple(cols)
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -68,60 +58,32 @@ def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
 def strip_predecessors(eta: Partition, max_size: int) -> list[Partition]:
     """
     All partitions s with s inside eta, eta/s a horizontal strip and
-    |eta/s| <= max_size, in descending lexicographic order.
+    |eta/s| <= max_size, in descending lexicographic order: row i of s runs
+    down from eta[i] to eta[i+1], and to at most max_size below eta[i].
     """
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
-    results: list[Partition] = []
-    n = len(eta)
-
-    def fill(i: int, acc: list[int], removed: int) -> None:
-        if i == n:
-            results.append(canonical(acc))
-            return
-        lo = eta[i + 1] if i + 1 < n else 0
-        hi = eta[i]
-        for v in range(hi, lo - 1, -1):
-            r = removed + (hi - v)
-            if r > max_size:
-                break
-            acc.append(v)
-            fill(i + 1, acc, r)
-            acc.pop()
-
-    fill(0, [], 0)
-    return sorted(results, reverse=True)
+    rows = [range(hi, max(lo, hi - max_size) - 1, -1) for hi, lo in zip(eta, eta[1:] + (0,))]
+    least = size(eta) - max_size
+    return [canonical(s) for s in itertools.product(*rows) if sum(s) >= least]
 
 
 def strip_successors(base: Partition, strip_size: int, max_length: int) -> list[Partition]:
     """
     All partitions t of length <= max_length with base inside t, t/base a
-    horizontal strip and |t/base| == strip_size, descending lex order.
+    horizontal strip and |t/base| == strip_size, in descending lexicographic
+    order: row i of t runs down from base[i-1] (the first row from
+    base[0] + strip_size) to base[i].
     """
     if strip_size < 0:
         raise ValueError("strip_size must be nonnegative")
-    rows = min(max_length, len(base) + 1)
     if len(base) > max_length:
         return []
-    padded = base + (0,) * (rows - len(base))
-    results: list[Partition] = []
-
-    def fill(i: int, acc: list[int], added: int) -> None:
-        if i == rows:
-            if added == strip_size:
-                results.append(canonical(acc))
-            return
-        lo = padded[i]
-        # interlacing: row i of t may not exceed row i-1 of base
-        hi = padded[i - 1] if i > 0 else lo + (strip_size - added)
-        hi = min(hi, lo + (strip_size - added))
-        for v in range(hi, lo - 1, -1):
-            acc.append(v)
-            fill(i + 1, acc, added + (v - lo))
-            acc.pop()
-
-    fill(0, [], 0)
-    return sorted(results, reverse=True)
+    low = base + (0,) if len(base) < max_length else base
+    target = size(base) + strip_size
+    # target caps no row, so only the strip size bounds the first row
+    rows = [range(min(hi, lo + strip_size), lo - 1, -1) for lo, hi in zip(low, (target,) + low)]
+    return [canonical(t) for t in itertools.product(*rows) if sum(t) == target]
 
 
 def partitions_of(n: int, max_length: int | None = None, max_part: int | None = None) -> Iterator[Partition]:

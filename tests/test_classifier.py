@@ -557,14 +557,6 @@ def test_verdict_json():
     assert free.to_json() == {"verdict": "MultiplicityFreeUpTo", "degree": 6}
 
 
-def test_verdict_json_roundtrip():
-    spec = case_spec("I", n=2)
-    for weights in [{"su2": (1,), "sp": (1,)}, {"sp": (1, 1)}]:
-        v = classify(spec, tau_spec(spec, **weights), 4)
-        data = v.to_json()
-        assert Verdict.from_json(data).to_json() == data
-
-
 def test_vii_u_condition_derivation():
     # independent of the reference table: the (1,1) term of the family VII
     # series is std (x) std in one complex picture and std (x) dual in the

@@ -327,6 +327,14 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "(2) + (1,1) + ()"
 
 
+def test_import_loads_neither_fractions_nor_decimal():
+    # the arithmetic is in ints; either module would add its import time to every run
+    probe = "import sys, multfree; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv, first_line",
     [

@@ -19,9 +19,10 @@ from multfree.irreps import (
     u,
     weight_system,
     weyl_character,
+    _strips_within,
 )
 from multfree.cases import CompositeLabel
-from multfree.partitions import all_partitions
+from multfree.partitions import all_partitions, contains, is_horizontal_strip
 
 
 def test_label_validation():
@@ -52,6 +53,23 @@ def test_defining_characters():
     for k in range(5):
         ws = weight_system(su(2, k) if k else trivial("su", 2))
         assert ws.entries == {(k - 2 * i,): 1 for i in range(k + 1)}
+
+
+def test_strips_within_matches_filter():
+    # every t with base in t in bound, len(t) <= cap and t/base a horizontal
+    # strip, ascending; bound == () and cap below len(base) are among the inputs
+    shapes = all_partitions(6)
+    for base in shapes:
+        for bound in shapes:
+            for cap in range(1, 5):
+                expect = [
+                    (t, sum(t) - sum(base))
+                    for t in shapes
+                    if len(t) <= cap and contains(bound, t) and is_horizontal_strip(t, base)
+                ]
+                assert list(_strips_within(base, bound, cap)) == sorted(expect)
+    assert list(_strips_within((), (), 3)) == [((), 0)]
+    assert list(_strips_within((1,), (), 3)) == []
 
 
 def test_sp2_11_dimension_is_5():

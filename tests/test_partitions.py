@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 from multfree.partitions import (
     all_partitions,
     canonical,
-    conjugate,
     contains,
     is_horizontal_strip,
     partitions_of,
@@ -32,17 +31,6 @@ def test_canonical_rejects_bad_input():
         canonical((1, 2))
     with pytest.raises(ValueError):
         canonical((2, -1))
-
-
-def test_conjugate_examples():
-    assert conjugate(()) == ()
-    assert conjugate((3, 1)) == (2, 1, 1)
-    assert conjugate((2, 1)) == (2, 1)
-
-
-def test_conjugate_involution_exhaustive():
-    for p in all_partitions(8):
-        assert conjugate(conjugate(p)) == p
 
 
 def test_contains_examples():
@@ -99,7 +87,8 @@ def _subpartitions(eta):
 
 def test_strip_predecessors_examples():
     assert strip_predecessors((2, 1), 1) == [(2, 1), (2,), (1, 1)]
-    assert strip_predecessors((), 5) == [()]
+    for k in range(6):
+        assert strip_predecessors((), k) == [()]
     # removing a strip from a rectangle only ever shortens the last row
     for a in (1, 2, 3):
         for m in (1, 2, 3):
@@ -122,22 +111,31 @@ def test_strip_predecessors_equals_filtered_subpartitions():
 
 
 def test_strip_successors_inverse_of_predecessors():
+    # max_length runs from 0 past the longest t, through len(base) itself
     for base in all_partitions(5):
         for up in range(4):
-            for t in strip_successors(base, up, max_length=6):
-                assert is_horizontal_strip(t, base)
-                assert size(t) - size(base) == up
-                assert base in strip_predecessors(t, up)
+            for max_length in range(7):
+                got = strip_successors(base, up, max_length)
+                expect = [
+                    t
+                    for t in all_partitions(size(base) + up, max_length)
+                    if size(t) - size(base) == up and is_horizontal_strip(t, base)
+                ]
+                assert got == sorted(expect, reverse=True)
+                for t in got:
+                    assert base in strip_predecessors(t, up)
 
 
 def test_strip_successors_respects_length():
     assert strip_successors((1, 1), 1, max_length=2) == [(2, 1)]
     assert strip_successors((1, 1), 1, max_length=3) == [(2, 1), (1, 1, 1)]
-
-
-@given(partition_strategy())
-def test_conjugate_involution_property(p):
-    assert conjugate(conjugate(p)) == p
+    # a base of the full length can only lengthen the rows it has
+    assert strip_successors((2, 1), 2, max_length=2) == [(4, 1), (3, 2)]
+    assert strip_successors((1,), 3, max_length=1) == [(4,)]
+    # no rows at all: only the empty strip on the empty base
+    assert strip_successors((), 0, max_length=0) == [()]
+    for base, up in [((), 1), ((), 3), ((1,), 0), ((2, 1), 1)]:
+        assert strip_successors(base, up, max_length=0) == []
 
 
 @given(partition_strategy(), partition_strategy())
