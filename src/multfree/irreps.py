@@ -4,23 +4,20 @@ exact characters on the standard maximal torus.
 
 Families and label conventions
 ------------------------------
-su(m)    partitions of length <= m-1.  Characters are Schur polynomials in m
-         variables for the lift with last coordinate 0; torus weights are
-         reported as (m-1)-vectors, normalised so that the dropped last
-         coordinate is 0 (the honest character of the (m-1)-torus).
-sp(n)    partitions of length <= n.  Characters are computed from the
-         branching chains behind King's symplectic tableaux: sequences
-         {} = u_0 in u_1 in ... in u_{2n} = weight with horizontal-strip
-         steps and len(u_t) <= ceil(t/2); step 2i-1 contributes x_i^cells,
-         step 2i contributes x_i^-cells.
-u(k)     weakly decreasing integer k-tuples (entries may be negative);
-         a determinant-power shift reduces to the partition case.
+su(m)    partitions of length <= m-1, worked on the u(m) lift with last
+         coordinate 0; torus weights are reported as (m-1)-vectors,
+         normalised so that the dropped last coordinate is 0 (the honest
+         character of the (m-1)-torus).
+sp(n)    partitions of length <= n.
+u(k)     weakly decreasing integer k-tuples (entries may be negative).
 so(2n)   integer tuples a_1 >= ... >= a_{n-1} >= |a_n| (tensor
          representations of the full even orthogonal group; no spin
-         weights).  Characters come from the Weyl alternating sum over
-         signed permutations with an even number of sign changes, divided
-         exactly by the corresponding denominator alternant.
-circle   a single integer r; the character is the monomial x^r.
+         weights).
+circle   a single integer r: type A of rank 1, whose character is x^r.
+
+Every character comes from Freudenthal's formula on the Weyl data of its
+family: type A (su, u, circle), C (sp) or D (so), with the integer weights
+of the standard torus and rho as in ``_weyl_data``.
 
 ``decompose_product`` is the oracle used to check every closed-form rule in
 the package; each pairwise step applies the Brauer-Klimyk rule
@@ -36,10 +33,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .laurent import LaurentPoly, exact_divide
-from .partitions import Partition, canonical
+from .laurent import LaurentPoly
+from .partitions import canonical
 
 FAMILIES = ("su", "sp", "u", "so", "circle")
 
@@ -226,102 +223,127 @@ class FormalSum:
 
 
 # ---------------------------------------------------------------------------
+# Weyl data
+
+# Weyl groups: permutations (A; the circle is A of rank 1), signed
+# permutations (C), and those with an even number of sign changes (D)
+_WEYL_KIND = {"su": "A", "u": "A", "circle": "A", "sp": "C", "so": "D"}
+
+
+def _weyl_data(label: IrrepLabel) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """Weyl group kind, rho and the weight padded to the rank: su and sp
+    labels are partitions, and su works on the u(m) lift with last entry 0."""
+    fam, rank, w = label.family, label.rank, label.weight
+    top = rank if fam == "sp" else rank - 1
+    return _WEYL_KIND[fam], tuple(range(top, top - rank, -1)), w + (0,) * (rank - len(w))
+
+
+def _positive_roots(kind: str, n: int) -> list[tuple[int, ...]]:
+    """e_i - e_j for i < j; also e_i + e_j for C and D; also 2e_i for C."""
+    pairs = list(itertools.combinations(range(n), 2))
+    signs = (-1,) if kind == "A" else (-1, 1)
+    roots = [tuple((k == i) + s * (k == j) for k in range(n)) for s in signs for i, j in pairs]
+    if kind == "C":
+        roots += [tuple(2 * (k == i) for k in range(n)) for i in range(n)]
+    return roots
+
+
+def _dominant(kind: str, v) -> tuple[int, ...]:
+    """The dominant weight in the Weyl orbit of ``v``."""
+    if kind == "A":
+        return tuple(sorted(v, reverse=True))
+    d = sorted(map(abs, v), reverse=True)
+    if kind == "D" and d[-1] and sum(x < 0 for x in v) % 2:
+        d[-1] = -d[-1]
+    return tuple(d)
+
+
+def _reflect(kind: str, v: list[int]) -> tuple[int, tuple[int, ...]] | None:
+    """Sign and dominant image of ``v`` under the Weyl group of ``kind``, or
+    None when ``v`` lies on a wall."""
+    keys = v if kind == "A" else [abs(x) for x in v]
+    if len(set(keys)) < len(keys) or (kind == "C" and 0 in keys):
+        return None
+    flips = sum(x < y for i, x in enumerate(keys) for y in keys[i + 1 :])
+    flips += sum(x < 0 for x in v) if kind == "C" else 0
+    return (-1) ** flips, _dominant(kind, v)
+
+
+def _rearrangements(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct orderings of a multiset, each once."""
+    if len(set(values)) <= 1:
+        return [values]
+    return [
+        (x,) + rest
+        for i, x in enumerate(values)
+        if x not in values[:i]
+        for rest in _rearrangements(values[:i] + values[i + 1 :])
+    ]
+
+
+def _orbit(kind: str, mu: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The Weyl orbit of a dominant weight, each weight once: the distinct
+    rearrangements of its entries (A), or of their absolute values with any
+    signs on the nonzero ones (C and D).  In D, when no entry is zero, the
+    number of minus signs has the parity of mu's own."""
+    if kind == "A":
+        return _rearrangements(mu)
+    return [
+        tuple(s * x for s, x in zip(signs, p))
+        for p in _rearrangements(tuple(map(abs, mu)))
+        for signs in itertools.product(*[(1, -1) if x else (1,) for x in p])
+        if kind == "C" or 0 in p or signs.count(-1) % 2 == (mu[-1] < 0)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # characters
 
 _CHAR_CACHE: dict[IrrepLabel, LaurentPoly] = {}
 
 
-def _strips_within(base: Partition, bound: Partition, cap: int) -> Iterator[tuple[Partition, int]]:
-    """All shapes t with base in t in bound, t/base a horizontal strip and
-    len(t) <= cap, together with the number of added cells, in ascending
-    lexicographic order: row i of t runs up from base[i] to the lesser of
-    bound[i] and base[i-1]."""
-    rows = min(cap, len(base) + 1, len(bound))
-    if len(base) > rows:
-        return
-    low = base + (0,) * (rows - len(base))
-    ranges = [range(lo, min(hi, up) + 1) for lo, hi, up in zip(low, bound, bound[:1] + low)]
-    base_size = sum(base)
-    for t in itertools.product(*ranges):
-        yield canonical(t), sum(t) - base_size
-
-
-def _strip_chain(lam: Partition, k: int, steps) -> LaurentPoly:
-    """Sum over chains of horizontal strips from () to lam, one per step
-    (var, sign, cap): at most cap rows, each cell a factor x_var^sign."""
-    if len(lam) > k:
-        return LaurentPoly.zero(k)
-    state: dict[Partition, LaurentPoly] = {(): LaurentPoly.one(k)}
-    for var, sign, cap in steps:
-        new: dict[Partition, LaurentPoly] = {}
-        for shape, poly in state.items():
-            for t, added in _strips_within(shape, lam, cap=cap):
-                e = [0] * k
-                e[var] = sign * added
-                contrib = poly.shift(e)
-                new[t] = new[t] + contrib if t in new else contrib
-        state = new
-    return state.get(lam, LaurentPoly.zero(k))
-
-
-def _schur_poly(lam: Partition, k: int) -> LaurentPoly:
-    """Schur polynomial s_lam(x_1..x_k) via chains of horizontal strips."""
-    return _strip_chain(lam, k, [(i, 1, i + 1) for i in range(k)])
-
-
-def _symplectic_poly(lam: Partition, n: int) -> LaurentPoly:
-    """Symplectic character sp_lam(x_1^+-1 .. x_n^+-1) via King chains."""
-    return _strip_chain(lam, n, [(i, sign, i + 1) for i in range(n) for sign in (1, -1)])
-
-
-def _even_signed_perms(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Elements of the D_n Weyl group: (perm, signs, det) with det = sgn(perm)."""
-    for perm in itertools.permutations(range(n)):
-        sgn = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sgn = -sgn
-        for flips in itertools.product((1, -1), repeat=n):
-            if flips.count(-1) % 2 == 0:
-                yield perm, flips, sgn
-
-
-def _dn_alternant(v: tuple[int, ...], n: int) -> LaurentPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    for perm, flips, sgn in _even_signed_perms(n):
-        e = tuple(flips[i] * v[perm[i]] for i in range(n))
-        terms[e] = terms.get(e, 0) + sgn
-    return LaurentPoly(n, terms)
-
-
-def _dn_character(lam: tuple[int, ...], n: int) -> LaurentPoly:
-    rho = tuple(n - 1 - i for i in range(n))
-    num = _dn_alternant(tuple(a + b for a, b in zip(lam, rho)), n)
-    den = _dn_alternant(rho, n)
-    return exact_divide(num, den)
-
-
 def weyl_character(label: IrrepLabel) -> LaurentPoly:
-    """Exact character of the irrep on the standard maximal torus."""
-    cached = _CHAR_CACHE.get(label)
-    if cached is not None:
-        return cached
-    fam, rank, w = label.family, label.rank, label.weight
-    if fam == "circle":
-        poly = LaurentPoly.monomial(w)
-    elif fam == "su":
-        poly = _schur_poly(w, rank)
-    elif fam == "sp":
-        poly = _symplectic_poly(w, rank)
-    elif fam == "u":
-        shift = -w[-1] if w[-1] < 0 else 0
-        lam = canonical(tuple(x + shift for x in w))
-        poly = _schur_poly(lam, rank)
-        if shift:
-            poly = poly.shift((-shift,) * rank)
-    else:  # so
-        poly = _dn_character(w, rank)
+    """
+    Exact character of the irrep on the standard maximal torus, by
+    Freudenthal's formula (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 22.3):
+
+        ((lam+rho)^2 - (mu+rho)^2) m(mu)
+            = 2 sum over alpha > 0, k >= 1 of (mu + k alpha, alpha) m(mu + k alpha)
+
+    The dominant weights are those reached from lam by steps down positive
+    roots through dominant weights.  Their multiplicities are computed in
+    decreasing (mu+rho)^2, which the dominant image of every mu + k alpha
+    exceeds (a type-A rho shifted along (1, ..., 1) changes no difference of
+    two norms), and a remainder is an ``OracleError``.  Each dominant weight
+    is then spread over its Weyl orbit.
+    """
+    if label in _CHAR_CACHE:
+        return _CHAR_CACHE[label]
+    kind, rho, lam = _weyl_data(label)
+    roots = _positive_roots(kind, len(lam))
+    found, todo = {lam}, [lam]
+    while todo:
+        mu = todo.pop()
+        for a in roots:
+            nu = tuple(x - y for x, y in zip(mu, a))
+            if nu not in found and _dominant(kind, nu) == nu:
+                found.add(nu)
+                todo.append(nu)
+    norm = {mu: sum((x + r) ** 2 for x, r in zip(mu, rho)) for mu in found}
+    mult = {lam: 1}
+    for mu in sorted(found - {lam}, key=lambda mu: (norm[mu], mu), reverse=True):
+        total = 0
+        for a in roots:
+            nu = tuple(x + y for x, y in zip(mu, a))
+            while m := mult.get(_dominant(kind, nu)):
+                total += m * sum(x * y for x, y in zip(nu, a))
+                nu = tuple(x + y for x, y in zip(nu, a))
+        m, rem = divmod(2 * total, norm[lam] - norm[mu])
+        if rem:
+            raise OracleError(f"non-integral weight multiplicity at {mu} for {label}")
+        mult[mu] = m
+    poly = LaurentPoly(len(lam), {e: m for mu, m in mult.items() for e in _orbit(kind, mu)})
     _CHAR_CACHE[label] = poly
     return poly
 
@@ -382,28 +404,6 @@ def weight_system(label: IrrepLabel) -> FormalSum:
 # ---------------------------------------------------------------------------
 # the decomposition oracle
 
-# Weyl groups: permutations (A; trivial for the circle, type A of rank 1),
-# signed permutations (C), and signed permutations with an even number of
-# sign changes (D)
-_WEYL_KIND = {"su": "A", "u": "A", "circle": "A", "sp": "C", "so": "D"}
-
-
-def _reflect(kind: str, v: list[int]) -> tuple[int, tuple[int, ...]] | None:
-    """Sign and dominant image of ``v`` under the Weyl group of ``kind``, or
-    None when ``v`` lies on a wall."""
-    keys = v if kind == "A" else [abs(x) for x in v]
-    d = sorted(keys, reverse=True)
-    if any(x == y for x, y in zip(d, d[1:])) or (kind == "C" and d[-1] == 0):
-        return None
-    flips = sum(x < y for i, x in enumerate(keys) for y in keys[i + 1 :])
-    negatives = 0 if kind == "A" else sum(x < 0 for x in v)
-    if kind == "C":
-        flips += negatives
-    elif kind == "D" and negatives % 2 and d[-1]:
-        d[-1] = -d[-1]
-    return (-1) ** flips, tuple(d)
-
-
 _PAIR_CACHE: dict[tuple, dict[IrrepLabel, int]] = {}
 
 
@@ -428,10 +428,8 @@ def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     dim_a, dim_b = dimension(a), dimension(b)
     if dim_b > dim_a:
         a, b = b, a
-    top = rank if fam == "sp" else rank - 1
-    kind, rho = _WEYL_KIND[fam], tuple(range(top, top - rank, -1))
-    # su and sp labels are partitions: pad to the rank
-    shifted = [x + r for x, r in zip(a.weight + (0,) * (rank - len(a.weight)), rho)]
+    kind, rho, lam_a = _weyl_data(a)
+    shifted = [x + r for x, r in zip(lam_a, rho)]
     net: dict[tuple[int, ...], int] = {}
     for mu, m in weyl_character(b).items():
         image = _reflect(kind, [x + y for x, y in zip(shifted, mu)])

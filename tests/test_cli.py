@@ -396,7 +396,9 @@ def _json_of(*argv):
     return json.loads(buf.getvalue())
 
 
-_FAMILY_RANKS = [("sp", 1), ("sp", 2), ("u", 1), ("u", 2), ("su", 2), ("su", 3)]
+_FAMILY_RANKS = [
+    ("sp", 1), ("sp", 2), ("u", 1), ("u", 2), ("su", 2), ("su", 3), ("so", 2), ("so", 3)
+]
 
 
 @st.composite
@@ -415,6 +417,7 @@ def _arg(weight):
 @example(("sp", 2, (), (1,)))
 @example(("su", 3, (1,), ()))
 @example(("sp", 1, (), ()))
+@example(("so", 3, (1, 1, -1), (1, 0, 0)))
 def test_tensor_json_reads_back_as_formal_sum(pair):
     family, rank, a, b = pair
     # the empty su/sp weight is written as an empty group, with no token

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+from multfree import irreps
 from multfree.irreps import (
     FormalSum,
     IrrepLabel,
     OracleError,
     circle,
+    clear_caches,
     decompose_product,
     dimension,
     is_multiplicity_free,
@@ -19,10 +21,9 @@ from multfree.irreps import (
     u,
     weight_system,
     weyl_character,
-    _strips_within,
 )
-from multfree.cases import CompositeLabel
-from multfree.partitions import all_partitions, contains, is_horizontal_strip
+from multfree.cases import CompositeLabel, factor_weights
+from multfree.partitions import all_partitions
 
 
 def test_label_validation():
@@ -53,23 +54,6 @@ def test_defining_characters():
     for k in range(5):
         ws = weight_system(su(2, k) if k else trivial("su", 2))
         assert ws.entries == {(k - 2 * i,): 1 for i in range(k + 1)}
-
-
-def test_strips_within_matches_filter():
-    # every t with base in t in bound, len(t) <= cap and t/base a horizontal
-    # strip, ascending; bound == () and cap below len(base) are among the inputs
-    shapes = all_partitions(6)
-    for base in shapes:
-        for bound in shapes:
-            for cap in range(1, 5):
-                expect = [
-                    (t, sum(t) - sum(base))
-                    for t in shapes
-                    if len(t) <= cap and contains(bound, t) and is_horizontal_strip(t, base)
-                ]
-                assert list(_strips_within(base, bound, cap)) == sorted(expect)
-    assert list(_strips_within((), (), 3)) == [((), 0)]
-    assert list(_strips_within((1,), (), 3)) == []
 
 
 def test_sp2_11_dimension_is_5():
@@ -203,8 +187,6 @@ def test_oracle_reconstruction_exact():
 
 
 def test_oracle_symmetry():
-    from multfree.cases import factor_weights
-
     groups = []
     for rank in (1, 2, 3):
         groups.append([IrrepLabel("sp", rank, w) for w in all_partitions(3, rank)])
@@ -264,10 +246,12 @@ def test_render():
     assert render_formal_sum(cg) == "ν2 + ν0"
 
 
-def _signed_perm_alternant(v, n, sign_flips):
-    # independent route: Weyl alternating sum over (signed) permutations
+def _alternant(v, kind):
+    # independent route: the Weyl alternating sum over permutations (A),
+    # signed permutations (C) or those with an even number of sign changes (D)
     from multfree.laurent import LaurentPoly
 
+    n = len(v)
     terms = {}
     for perm in itertools.permutations(range(n)):
         sgn = 1
@@ -275,11 +259,12 @@ def _signed_perm_alternant(v, n, sign_flips):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sgn = -sgn
-        flip_choices = (
-            itertools.product((1, -1), repeat=n) if sign_flips else [(1,) * n]
-        )
+        flip_choices = itertools.product((1, -1), repeat=n) if kind != "A" else [(1,) * n]
         for flips in flip_choices:
-            det = sgn * (1 if flips.count(-1) % 2 == 0 else -1)
+            negatives = flips.count(-1)
+            if kind == "D" and negatives % 2:
+                continue
+            det = -sgn if kind == "C" and negatives % 2 else sgn
             e = tuple(flips[i] * v[perm[i]] for i in range(n))
             terms[e] = terms.get(e, 0) + det
     return LaurentPoly(n, terms)
@@ -289,30 +274,82 @@ def _alternant_character(family, lam, n):
     from multfree.laurent import exact_divide
 
     lam = lam + (0,) * (n - len(lam))
-    if family == "sp":
-        rho = tuple(n - i for i in range(n))
-        flips = True
-    else:
-        rho = tuple(n - 1 - i for i in range(n))
-        flips = False
-    num = _signed_perm_alternant(tuple(a + b for a, b in zip(lam, rho)), n, flips)
-    den = _signed_perm_alternant(rho, n, flips)
-    return exact_divide(num, den)
+    kind = {"su": "A", "u": "A", "sp": "C", "so": "D"}[family]
+    top = n if family == "sp" else n - 1
+    rho = tuple(range(top, top - n, -1))
+    num = _alternant(tuple(a + b for a, b in zip(lam, rho)), kind)
+    return exact_divide(num, _alternant(rho, kind))
 
 
 def test_characters_match_alternant_quotients():
-    # the shipped characters come from tableau chains; re-derive them from
-    # the alternating-sum formula and demand exact polynomial equality
-    for n in (1, 2, 3):
-        for lam in all_partitions(4, n):
-            assert _alternant_character("sp", lam, n) == weyl_character(
-                IrrepLabel("sp", n, lam)
-            ), ("sp", n, lam)
-    for n in (2, 3):
-        for lam in all_partitions(4, n - 1):
-            assert _alternant_character("su", lam, n) == weyl_character(
-                IrrepLabel("su", n, lam)
-            ), ("su", n, lam)
+    # the shipped characters come from Freudenthal's formula; re-derive them
+    # from the Weyl character formula and demand exact polynomial equality,
+    # on u weights with negative entries and so(2n) weights of either sign
+    labels = (
+        [IrrepLabel("su", n, lam) for n in (2, 3, 4, 5) for lam in all_partitions(4, n - 1)]
+        + [IrrepLabel("sp", n, lam) for n in (1, 2, 3, 4) for lam in all_partitions(4, n)]
+        + [IrrepLabel("u", n, w) for n in (1, 2, 3, 4) for w in factor_weights("u", n, 3)]
+        + [IrrepLabel("so", n, w) for n in (2, 3, 4) for w in factor_weights("so", n, 3)]
+    )
+    for label in labels:
+        expect = _alternant_character(label.family, label.weight, label.rank)
+        assert weyl_character(label) == expect, label
+
+
+# the three kinds of positive root: e_i - e_j, e_i + e_j and 2e_i
+_ROOT_KINDS = {
+    "e_i-e_j": lambda r: -1 in r,
+    "e_i+e_j": lambda r: r.count(1) == 2,
+    "2e_i": lambda r: 2 in r,
+}
+
+
+@pytest.fixture
+def cold_memos():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "label, dropped",
+    [
+        (su(3, 2, 1), "e_i-e_j"),
+        (u(2, 1, -1), "e_i-e_j"),
+        (sp(2, 2, 1), "e_i-e_j"),
+        (sp(2, 2, 1), "e_i+e_j"),
+        (sp(2, 2, 1), "2e_i"),
+        (so(3, 1, 1, 0), "e_i-e_j"),
+        (so(3, 1, 1, 0), "e_i+e_j"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else f"{v.family}{v.rank}{v.weight}".replace(" ", ""),
+)
+def test_a_missing_root_kind_is_caught(monkeypatch, cold_memos, label, dropped):
+    # with one kind of positive root left out, Freudenthal's formula either
+    # meets a remainder or builds a wrong character, which a cold tensor_pair
+    # then reports as a negative multiplicity or a dimension leak
+    full = irreps._positive_roots
+    drop = _ROOT_KINDS[dropped]
+    assert any(drop(r) for r in full(irreps._WEYL_KIND[label.family], label.rank))
+    monkeypatch.setattr(
+        irreps, "_positive_roots", lambda kind, n: [r for r in full(kind, n) if not drop(r)]
+    )
+    with pytest.raises(OracleError):
+        weyl_character(label)
+        tensor_pair(label, label)
+
+
+def test_high_rank_orbits_are_enumerated_without_repeats():
+    # 12! orderings would never finish; the distinct ones are few
+    assert weyl_character(su(12, 1)).terms == {
+        tuple(int(i == j) for j in range(12)): 1 for i in range(12)
+    }
+    assert weyl_character(trivial("su", 12)).terms == {(0,) * 12: 1}
+    assert weyl_character(su(12, 2, 1)).dimension() == dimension(su(12, 2, 1)) == 572
+    assert tensor_pair(su(12, 1), su(12, 1)) == {su(12, 2): 1, su(12, 1, 1): 1}
+    assert weyl_character(so(6, 1, 1, 1, 1, 1, -1)).dimension() == dimension(
+        so(6, 1, 1, 1, 1, 1, -1)
+    )
 
 
 def test_label_order_is_the_field_order():
