@@ -9,7 +9,8 @@ non-circle intertwiner factors).  The families are:
 
     I     su(2) x sp(n):      omega = sum_s chi_s (x) eta_(s)
     II    spin(4) x sp(k1) x sp(k2), reduced to two circles:
-          omega = sum chi_(r+l1, s+l2) (x) eta_(r) (x) eta_(s)
+          omega = sum chi_(r+l1, s+l2) (x) eta_(r) (x) eta_(s), the graded
+          product of two halves sum chi_(r+l) (x) eta_(r) on su(2) x sp(k)
     III   sp(2) x sp(n):      omega = sum chi_(r,s) (x) [eta_(r) (x) eta_(s)]
           with the inner product expanded by ``tensor_pair``
     IV    so(2n):             omega = sum over v in Z_{>=0}^n of chi_v
@@ -20,8 +21,9 @@ non-circle intertwiner factors).  The families are:
     VIII  graded products of type-(VI) and type-(VII) blocks
     IX    u(n) on the Heisenberg group: omega = sum_r Sym^r
 
-The family VIII layout is written once, in ``blocks(spec)``: its VI and VII
-block specs, each with the VIII keys of its factors.  The VIII factors, the
+The layout of the graded products is written once, in ``blocks(spec)``: the
+VI and VII block specs of family VIII, and the two halves of family II, each
+with the keys of its factors in the whole spec.  The II and VIII factors, the
 VIII series and the classifier's split of tau are all derived from it.
 
 Degree truncation bounds the sum of the grading parameters of omega (the
@@ -142,17 +144,9 @@ def factors(spec: CaseSpec) -> tuple[Factor, ...]:
             Factor("su2", "su", 2, "torus", 0),
             Factor("sp", "sp", spec["n"], "uslot", 0),
         )
-    if cid == "II":
-        out = [
-            Factor("su2a", "su", 2, "torus", 0),
-            Factor("su2b", "su", 2, "torus", 1),
-        ]
-        slot = 0
-        for key, k in (("spa", spec["k1"]), ("spb", spec["k2"])):
-            if k > 0:
-                out.append(Factor(key, "sp", k, "uslot", slot))
-                slot += 1
-        return tuple(out)
+    if cid == "IIh":
+        su2 = Factor("su2", "su", 2, "torus", 0)
+        return (su2, Factor("sp", "sp", spec["k"], "uslot", 0)) if spec["k"] else (su2,)
     if cid == "III":
         return (
             Factor("sp2", "sp", 2, "torus", 0),
@@ -173,8 +167,9 @@ def factors(spec: CaseSpec) -> tuple[Factor, ...]:
         return tuple(out)
     if cid == "IX":
         return (Factor("u", "u", spec["n"], "uslot", 0),)
-    # VIII: block factors under their VIII keys, moved past the torus and
-    # u-slots of earlier blocks; su, then circles, then u-slots, in block order
+    # II and VIII: block factors under their keys in spec, moved past the
+    # torus and u-slots of earlier blocks; su, then circles, then u-slots, in
+    # block order
     out, off, slot = [], 0, 0
     for block, keys in blocks(spec):
         for f, key in zip(factors(block), keys):
@@ -188,8 +183,16 @@ def factors(spec: CaseSpec) -> tuple[Factor, ...]:
 def blocks(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[str, ...]], ...]:
     """The blocks of a spec in block order, each with the keys its factors
     have in ``spec``.  A family VIII spec has ``VI(n=m_i)`` with (su.i, s1.i),
-    then ``VII(k=k_j, n=n_j)`` with (su2.j, u.j[, sp.j]); a spec of any
-    other family is its own single block."""
+    then ``VII(k=k_j, n=n_j)`` with (su2.j, u.j[, sp.j]).  A family II spec
+    has two halves, su(2) x sp(k1) with (su2a[, spa]) and su(2) x sp(k2) with
+    (su2b[, spb]), each a private block kind ``IIh(k)`` that ``case_spec``
+    rejects; a half with k = 0 has no sp factor.  A spec of any other family
+    is its own single block."""
+    if spec.case_id == "II":
+        return tuple(
+            (CaseSpec("IIh", (("k", k),)), (f"su2{h}", f"sp{h}") if k else (f"su2{h}",))
+            for h, k in (("a", spec["k1"]), ("b", spec["k2"]))
+        )
     if spec.case_id != "VIII":
         return ((spec, tuple(f.key for f in factors(spec))),)
     vi = [case_spec("VI", n=m) for m in spec["m"]]
@@ -330,52 +333,62 @@ def _vectors_of_degree(n: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _row_product(family: str, rank: int, r: int, s: int) -> list[IrrepLabel]:
-    """Constituents of (r) (x) (s) in sp(n) or u(k), a multiplicity-free product."""
-    rows = [IrrepLabel(family, rank, (x,) + (0,) * (rank - 1)) for x in (r, s)]
-    out = tensor_pair(*rows)
+def _rows(family: str, rank: int, degree: int) -> list[IrrepLabel]:
+    """The one-row labels (x) of sp(rank) or u(rank), indexed by x = 0..degree."""
+    pad = (0,) * (rank - 1)
+    return [IrrepLabel(family, rank, (x,) + pad) for x in range(degree + 1)]
+
+
+def _sp_slots(n: int, degree: int) -> list[tuple[IrrepLabel, ...]]:
+    """The u-slot part of an optional sp(n) factor: the one-row label (x) as
+    a 1-tuple, indexed by x = 0..degree, or only the empty tuple when n = 0
+    (no sp factor, so no slot)."""
+    return [(lab,) for lab in _rows("sp", n, degree)] if n else [()]
+
+
+def _row_product(a: IrrepLabel, b: IrrepLabel) -> list[IrrepLabel]:
+    """Constituents of two one-row labels of sp(n) or u(k), a multiplicity-free product."""
+    out = tensor_pair(a, b)
     if any(m != 1 for m in out.values()):
-        raise OracleError(f"{rows[0]} (x) {rows[1]} is not multiplicity free")
+        raise OracleError(f"{a} (x) {b} is not multiplicity free")
     return list(out)
 
 
 @lru_cache(maxsize=128)
 def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
-    """All terms of the metaplectic series with grading degree <= ``degree``."""
+    """All terms of the metaplectic series with grading degree <= ``degree``.
+    Each one-row label is built once, in a table indexed by row length."""
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
     cid = spec.case_id
     out: list[OmegaEntry] = []
     if cid == "I":
-        n = spec["n"]
+        rows = _rows("sp", spec["n"], degree)
         for s in range(degree + 1):
-            out.append(
-                OmegaEntry(s, (s,), (IrrepLabel("sp", n, (s,) if s else ()),), (("s", s),))
-            )
+            out.append(OmegaEntry(s, (s,), (rows[s],), (("s", s),)))
+    elif cid == "IIh":  # one half of family II (``blocks``)
+        for r, ulabs in enumerate(_sp_slots(spec["k"], degree)):
+            for l in range(degree - r + 1):
+                out.append(OmegaEntry(r + l, (r + l,), ulabs, (("l", l), ("r", r))))
     elif cid == "II":
-        k1, k2 = spec["k1"], spec["k2"]
-        for r in range(degree + 1) if k1 > 0 else (0,):
-            for s in range(degree - r + 1) if k2 > 0 else (0,):
+        slots2 = _sp_slots(spec["k2"], degree)
+        for r, u1 in enumerate(_sp_slots(spec["k1"], degree)):
+            for s, u2 in enumerate(slots2[: degree - r + 1]):
                 for l1 in range(degree - r - s + 1):
                     for l2 in range(degree - r - s - l1 + 1):
-                        ulabs = []
-                        if k1 > 0:
-                            ulabs.append(IrrepLabel("sp", k1, (r,) if r else ()))
-                        if k2 > 0:
-                            ulabs.append(IrrepLabel("sp", k2, (s,) if s else ()))
                         out.append(
                             OmegaEntry(
                                 r + s + l1 + l2,
                                 (r + l1, s + l2),
-                                tuple(ulabs),
+                                u1 + u2,
                                 (("l1", l1), ("l2", l2), ("r", r), ("s", s)),
                             )
                         )
     elif cid == "III":
-        n = spec["n"]
+        rows = _rows("sp", spec["n"], degree)
         for r in range(degree + 1):
             for s in range(degree - r + 1):
-                for lab in _row_product("sp", n, r, s):
+                for lab in _row_product(rows[r], rows[s]):
                     out.append(
                         OmegaEntry(
                             r + s,
@@ -396,21 +409,21 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
                 torus = tuple(x - vec[-1] for x in vec[:-1]) + (d,)
                 out.append(OmegaEntry(d, torus, (), (("m_vec", vec),)))
     elif cid == "VII":
-        k, n = spec["k"], spec["n"]
+        n = spec["n"]
+        rows = _rows("u", spec["k"], degree)
+        sp_slots = _sp_slots(n, degree)
         for r in range(degree + 1):
             for s in range(degree - r + 1):
-                for j in range(degree - r - s + 1) if n > 0 else (0,):
+                mus = _row_product(rows[r], rows[s])
+                for j, sp_slot in enumerate(sp_slots[: degree - r - s + 1]):
                     jp = (("j", j),) if n > 0 else ()
-                    for mu in _row_product("u", k, r, s):
-                        ulabs = (mu, IrrepLabel("sp", n, (j,) if j else ())) if n > 0 else (mu,)
+                    for mu in mus:
                         params = jp + (("r", r), ("s", s), ("u_inner", mu.weight))
-                        out.append(OmegaEntry(r + s + j, (r - s + j,), ulabs, params))
+                        out.append(OmegaEntry(r + s + j, (r - s + j,), (mu,) + sp_slot, params))
     elif cid == "IX":
-        n = spec["n"]
+        rows = _rows("u", spec["n"], degree)
         for r in range(degree + 1):
-            out.append(
-                OmegaEntry(r, (), (IrrepLabel("u", n, (r,) + (0,) * (n - 1)),), (("r", r),))
-            )
+            out.append(OmegaEntry(r, (), (rows[r],), (("r", r),)))
     else:  # VIII: graded product of the block series, each term tagged
         acc = [(0, (), (), ())]
         for block, keys in blocks(spec):

@@ -10,14 +10,14 @@ omega (x) tau restricted to the torus-times-intertwiner subgroup:
   ``MultiplicityFreeUpTo(D)``, never a proof.
 
 A family VIII series is the graded product of its type-(VI) and type-(VII)
-blocks, on disjoint torus coordinates and u-slots, and tau splits the same
-way; a spec of any other family is its own single block.  Every spec is
-decided, and its witness found, from the scans of its blocks (see
-``classify``); the full product series is only walked for the witness's
-multiplicity and routes.  Block scans are memoised on (block spec, tau
-piece, degree), since a sweep meets the same block with the same tau piece
-in many rows; a scan's result is immutable, so a shared entry cannot be
-changed by a caller.
+blocks, and a family II series that of its two spin(4) halves, on disjoint
+torus coordinates and u-slots, and tau splits the same way; a spec of any
+other family is its own single block.  Every spec is decided, and its
+witness found, from the scans of its blocks (see ``classify``); the full
+product series is only walked for the witness's multiplicity and routes.
+Block scans are memoised on (block spec, tau piece, degree), since a sweep
+meets the same block with the same tau piece in many rows; a scan's result
+is immutable, so a shared entry cannot be changed by a caller.
 
 ``expected_verdict`` encodes the published classification table for the
 nine families; ``cross_check`` compares it against the computed verdict and
@@ -141,11 +141,12 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
     or the bounded multiplicity-freeness certificate.
 
     Each block series (x) its tau piece is scanned on its own, up to its
-    witness degree (``cases.blocks``; a spec outside family VIII is its own
-    single block).  A composite label (L_1, ..., L_b) of the product has
-    multiplicity sum_{d_1 + ... + d_b <= e} prod_i c_i(L_i, d_i) up to degree
-    e, where c_i(L_i, d) counts L_i at degree d of block i; let A_i(L_i, e)
-    count it up to degree e, and let d be the least block witness degree.
+    witness degree (``cases.blocks``; a spec outside families II and VIII is
+    its own single block).  A composite label (L_1, ..., L_b) of the product
+    has multiplicity sum_{d_1 + ... + d_b <= e} prod_i c_i(L_i, d_i) up to
+    degree e, where c_i(L_i, d) counts L_i at degree d of block i; let
+    A_i(L_i, e) count it up to degree e, and let d be the least block witness
+    degree.
 
     * Below d every A_i is at most 1, so the product multiplicity, at most
       prod_i A_i(L_i, e), is too: the product has no witness below d, and

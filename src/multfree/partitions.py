@@ -33,6 +33,15 @@ def canonical(parts: Iterable[int]) -> Partition:
     return t
 
 
+def _trim(t: tuple[int, ...]) -> Partition:
+    """Strip the trailing zeros of a tuple the strip walks yield: their
+    interlacing ranges already make it weakly decreasing and nonnegative."""
+    n = len(t)
+    while n and not t[n - 1]:
+        n -= 1
+    return t[:n]
+
+
 def size(p: Partition) -> int:
     return sum(p)
 
@@ -65,7 +74,7 @@ def strip_predecessors(eta: Partition, max_size: int) -> list[Partition]:
         raise ValueError("max_size must be nonnegative")
     rows = [range(hi, max(lo, hi - max_size) - 1, -1) for hi, lo in zip(eta, eta[1:] + (0,))]
     least = size(eta) - max_size
-    return [canonical(s) for s in itertools.product(*rows) if sum(s) >= least]
+    return [_trim(s) for s in itertools.product(*rows) if sum(s) >= least]
 
 
 def strip_successors(base: Partition, strip_size: int, max_length: int) -> list[Partition]:
@@ -83,7 +92,7 @@ def strip_successors(base: Partition, strip_size: int, max_length: int) -> list[
     target = size(base) + strip_size
     # target caps no row, so only the strip size bounds the first row
     rows = [range(min(hi, lo + strip_size), lo - 1, -1) for lo, hi in zip(low, (target,) + low)]
-    return [canonical(t) for t in itertools.product(*rows) if sum(t) == target]
+    return [_trim(t) for t in itertools.product(*rows) if sum(t) == target]
 
 
 def partitions_of(n: int, max_length: int | None = None, max_part: int | None = None) -> Iterator[Partition]:

@@ -130,7 +130,7 @@ def test_classify_stops_after_the_witness_degree(monkeypatch, cold_scans, spec, 
     tau = tau_spec(spec, **weights)
     # the block holding the witness: the one with a nontrivial tau piece (a
     # trivial piece leaves its block multiplicity-free); a spec outside
-    # family VIII is its own single block
+    # families II and VIII is its own single block
     (holder,) = [b for b, t in classify_mod._blocks(spec, tau) if not t.is_trivial]
     drawn = {}
 
@@ -164,6 +164,13 @@ BLOCK_SPECS = (
     case_spec("VIII", m=(3,), kn=((2, 0),)),
     case_spec("VIII", kn=((2, 0), (1, 1))),
     case_spec("VIII", m=(3, 3)),
+)
+# family II specs, the graded product of two spin(4) halves: equal halves,
+# unequal halves, and a half with no sp factor
+II_SPECS = (
+    case_spec("II", k1=1, k2=1),
+    case_spec("II", k1=2, k2=1),
+    case_spec("II", k1=0, k2=2),
 )
 
 
@@ -200,7 +207,8 @@ def test_block_witness_matches_full_series():
     # the witness joined from the block scans against the full product scan:
     # witness, witness degree and multiplicity
     spec2 = case_spec("VIII", m=(3,), kn=((1, 0), (1, 0)))
-    rows = [(spec, tau) for spec in BLOCK_SPECS + (spec2,) for tau in tau_candidates(spec, 1)]
+    specs = BLOCK_SPECS + (spec2, II_SPECS[0], II_SPECS[2])
+    rows = [(spec, tau) for spec in specs for tau in tau_candidates(spec, 1)]
     rows += [(spec, tau_spec(spec, **weights)) for spec, weights in DEGREE_ZERO_ROWS]
     found = zero = 0
     for spec, tau in rows:
@@ -232,7 +240,7 @@ def _graded_product(series, degree):
 
 @pytest.mark.parametrize(
     "spec",
-    BLOCK_SPECS + (case_spec("VIII", m=(4,), kn=((1, 2), (2, 1))),),
+    BLOCK_SPECS + (case_spec("VIII", m=(4,), kn=((1, 2), (2, 1))),) + II_SPECS,
     ids=str,
 )
 def test_viii_series_is_the_graded_product_of_its_blocks(spec):
@@ -271,6 +279,16 @@ def test_viii_certificate_draws_no_term_of_the_full_series(monkeypatch, cold_sca
     # a witness row, too, takes its witness from the block scans alone
     scanned.clear()
     tau = tau_spec(spec, **{"su.1": (1,), "u.1": (1, 0)})
+    v = classify(spec, tau, 6)
+    assert scanned and spec not in scanned
+    assert v.multiplicity_found and verify_witness(spec, tau, v)
+    # so does a family II row, from its two spin(4) halves
+    spec = case_spec("II", k1=2, k2=1)
+    scanned.clear()
+    assert classify(spec, tau_spec(spec), 12) == Verdict(False, 12)
+    assert scanned and spec not in scanned
+    scanned.clear()
+    tau = tau_spec(spec, su2a=(1,), spb=(1,))
     v = classify(spec, tau, 6)
     assert scanned and spec not in scanned
     assert v.multiplicity_found and verify_witness(spec, tau, v)

@@ -1,7 +1,9 @@
 """
-Golden file for family VIII specs with a u(k) block of k >= 2 or with two
-blocks, none of which ``default_grid()`` holds: every row of the sweeps below
-at degree 6, with its full verdict, routes included, must stay unchanged.
+Golden file for specs whose series is a graded product of blocks and which
+``default_grid()`` does not hold: family VIII with a u(k) block of k >= 2 or
+with two blocks, and family II with k1 != k2 (its two spin(4) halves differ)
+or with k1 = 0 (one half has no u-slot).  Every row of the sweeps below at
+degree 6, with its full verdict, routes included, must stay unchanged.
 
 Each line of ``data/viii_blocks_sweep.json.gz`` is one compact JSON object,
 ``CheckRow.to_json()`` merged with ``Verdict.to_json()``, in the same format
@@ -26,6 +28,8 @@ GRID = (
     (case_spec("VIII", m=(3,), kn=((2, 0),)), 1),
     (case_spec("VIII", kn=((2, 0), (1, 1))), 1),
     (case_spec("VIII", m=(3, 3)), 1),
+    (case_spec("II", k1=2, k2=1), 1),
+    (case_spec("II", k1=0, k2=2), 1),
 )
 
 
@@ -45,7 +49,7 @@ def test_viii_blocks_sweep_matches_golden():
     got = [_line(obj) for obj in _rows()]
     for i, (want, have) in enumerate(zip(golden, got)):
         assert have == want, f"row {i} differs:\n golden   {want}\n computed {have}"
-    assert len(got) == len(golden) == 168
+    assert len(got) == len(golden) == 192
 
 
 if __name__ == "__main__":
