@@ -9,9 +9,6 @@ from .cases import (
     CompositeLabel,
     TauSpec,
     case_spec,
-    omega_series,
-    omega_tensor_tau,
-    tau_restriction,
     tau_spec,
 )
 from .classify import (
@@ -29,7 +26,6 @@ from .irreps import (
     circle,
     decompose_product,
     dimension,
-    is_multiplicity_free,
     so,
     sp,
     su,

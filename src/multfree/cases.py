@@ -1,6 +1,8 @@
 """
-Per-case construction of the degree-truncated metaplectic series and of the
-torus restriction of a test representation.
+Per-case construction of the degree-truncated metaplectic series
+(``omega_entries``), of the torus expansion of a test representation
+(``tau_entries``) and of the productions of their product (``product_terms``),
+each as a list of entries that the classifier scans.
 
 Every case from the classification list reduces the commutativity question
 to multiplicity-freeness of a series over composite labels (an integer
@@ -50,7 +52,6 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .irreps import (
-    FormalSum,
     IrrepLabel,
     OracleError,
     render_label,
@@ -449,15 +450,6 @@ def _omega_by_torus(spec: CaseSpec, degree: int) -> dict[tuple[int, ...], tuple[
     return {torus: tuple(entries) for torus, entries in index.items()}
 
 
-def omega_series(spec: CaseSpec, degree: int) -> FormalSum:
-    """The truncated metaplectic decomposition as a sum of composite labels."""
-    entries: dict[CompositeLabel, int] = {}
-    for e in omega_entries(spec, degree):
-        lab = CompositeLabel(e.torus, e.ulabels)
-        entries[lab] = entries.get(lab, 0) + 1
-    return FormalSum(entries, truncation=degree)
-
-
 # ---------------------------------------------------------------------------
 # the tau side
 
@@ -478,7 +470,7 @@ def tau_entries(spec: CaseSpec, tau: TauSpec) -> tuple[TauEntry, ...]:
         else:
             ws = weight_system(lab)
             for torus, ulabs, mult, weights in acc:
-                for vec, wm in ws.items_sorted():
+                for vec, wm in sorted(ws.items()):
                     t2 = list(torus)
                     for i, x in enumerate(vec):
                         t2[f.pos + i] += x
@@ -487,15 +479,6 @@ def tau_entries(spec: CaseSpec, tau: TauSpec) -> tuple[TauEntry, ...]:
     return tuple(
         TauEntry(tuple(torus), tuple(ulabs), mult, weights) for torus, ulabs, mult, weights in acc
     )
-
-
-def tau_restriction(spec: CaseSpec, tau: TauSpec) -> FormalSum:
-    """Restriction of tau to the torus-times-intertwiner subgroup (exact)."""
-    entries: dict[CompositeLabel, int] = {}
-    for te in tau_entries(spec, tau):
-        lab = CompositeLabel(te.torus, te.ulabels)
-        entries[lab] = entries.get(lab, 0) + te.mult
-    return FormalSum(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +504,6 @@ def product_terms(
                 for _, m in combo:
                     mult *= m
                 yield oe, te, CompositeLabel(t, tuple(lab for lab, _ in combo)), mult
-
-
-def omega_tensor_tau(spec: CaseSpec, tau: TauSpec, degree: int) -> FormalSum:
-    """The truncated series omega (x) tau, multiplicities accumulated across
-    all production routes."""
-    entries: dict[CompositeLabel, int] = {}
-    for _, _, lab, mult in product_terms(spec, tau, degree):
-        entries[lab] = entries.get(lab, 0) + mult
-    return FormalSum(entries, truncation=degree)
 
 
 def production_routes(

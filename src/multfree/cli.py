@@ -214,6 +214,8 @@ def cmd_verify(args) -> int:
         for cid in wanted:
             if all(s.case_id != cid for s in specs):
                 raise InputError(f"unknown case {cid!r}")
+            if wanted.count(cid) > 1:
+                raise InputError(f"case {cid!r} given twice")
         specs = [s for cid in wanted for s in specs if s.case_id == cid]
     rows = [row for spec in specs for row in sweep(spec, args.bound, args.degree)]
     bad = [r for r in rows if r.consistency != CONSISTENT]

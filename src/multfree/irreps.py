@@ -137,15 +137,7 @@ def circle(r: int) -> IrrepLabel:
 # formal sums
 
 
-def label_to_json(label):
-    if isinstance(label, tuple):
-        return list(label)
-    return label.to_json()
-
-
 def label_from_json(data):
-    if isinstance(data, list):
-        return tuple(int(x) for x in data)
     if "torus" in data:
         from .cases import CompositeLabel
 
@@ -155,18 +147,14 @@ def label_from_json(data):
 
 class FormalSum:
     """
-    A multiset of labels: mapping label -> multiplicity >= 1.
-
-    ``truncation`` is None for exact decompositions and a degree bound D for
-    series cut at total grading degree D.  Iteration, ``to_json`` and
-    ``repr`` run in label order: the field order of the label types
-    (``IrrepLabel``: family, rank, weight; ``CompositeLabel``: torus, then
-    u-labels), or the tuple order of weight vectors.
+    An exact decomposition: a mapping from irreducible labels to
+    multiplicities >= 1.  ``to_json`` and ``repr`` run in label order
+    (family, rank, weight).
     """
 
-    __slots__ = ("entries", "truncation")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries=None, truncation: int | None = None):
+    def __init__(self, entries=None):
         self.entries: dict = {}
         if entries:
             for label, mult in dict(entries).items():
@@ -174,20 +162,9 @@ class FormalSum:
                     raise ValueError(f"negative multiplicity for {label}")
                 if mult > 0:
                     self.entries[label] = int(mult)
-        self.truncation = truncation
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FormalSum)
-            and self.entries == other.entries
-            and self.truncation == other.truncation
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.items_sorted())
+        return isinstance(other, FormalSum) and self.entries == other.entries
 
     def __getitem__(self, label) -> int:
         return self.entries.get(label, 0)
@@ -198,24 +175,23 @@ class FormalSum:
     def is_multiplicity_free(self) -> bool:
         return all(m == 1 for m in self.entries.values())
 
-    def total(self) -> int:
-        return sum(self.entries.values())
-
     def to_json(self) -> dict:
         return {
-            "truncation": "exact" if self.truncation is None else self.truncation,
+            "truncation": "exact",
             "entries": [
-                {"label": label_to_json(lab), "mult": m} for lab, m in self.items_sorted()
+                {"label": lab.to_json(), "mult": m} for lab, m in self.items_sorted()
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "FormalSum":
         trunc = data.get("truncation", "exact")
+        if trunc != "exact":
+            raise ValueError(f"not an exact decomposition: truncation {trunc!r}")
         entries = {}
         for row in data["entries"]:
             entries[label_from_json(row["label"])] = int(row["mult"])
-        return cls(entries, None if trunc == "exact" else int(trunc))
+        return cls(entries)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{lab}: {m}" for lab, m in self.items_sorted())
@@ -383,12 +359,12 @@ def dimension(label: IrrepLabel) -> int:
     return d
 
 
-def weight_system(label: IrrepLabel) -> FormalSum:
+def weight_system(label: IrrepLabel) -> dict[tuple[int, ...], int]:
     """
-    Restriction of the irrep to the maximal torus, as a multiset of integer
-    character vectors.  For su(m) the vectors are the honest characters of
-    the (m-1)-torus: the last coordinate of the m-variable weight is
-    normalised to 0 and dropped.
+    Restriction of the irrep to the maximal torus: each integer character
+    vector with its multiplicity.  For su(m) the vectors are the honest
+    characters of the (m-1)-torus: the last coordinate of the m-variable
+    weight is normalised to 0 and dropped.
     """
     poly = weyl_character(label)
     out: dict[tuple[int, ...], int] = {}
@@ -398,7 +374,7 @@ def weight_system(label: IrrepLabel) -> FormalSum:
         else:
             v = e
         out[v] = out.get(v, 0) + c
-    return FormalSum(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +450,6 @@ def decompose_product(labels: Iterable[IrrepLabel]) -> FormalSum:
                 acc[lab2] = acc.get(lab2, 0) + m * m2
         current = acc
     return FormalSum(current)
-
-
-def is_multiplicity_free(s: FormalSum) -> bool:
-    return s.is_multiplicity_free()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from multfree.classify import CONSISTENT, classify, default_grid, sweep, verify_
 from multfree.irreps import (
     decompose_product,
     dimension,
-    is_multiplicity_free,
     sp,
     trivial,
     weight_system,
@@ -101,7 +100,7 @@ def test_criterion_5_constant_partitions_iff_free():
     failures = []
     for n in (2, 3):
         for eta in all_partitions(4, n):
-            free = all(is_multiplicity_free(pieri_tensor(eta, s, n)) for s in range(6))
+            free = all(pieri_tensor(eta, s, n).is_multiplicity_free() for s in range(6))
             if free != (len(set(eta)) <= 1):
                 failures.append((eta, n))
     _report(
@@ -159,7 +158,7 @@ def test_criterion_8_character_oracle_self_consistency():
     bad_dim = [
         lab for lab in labels if weyl_character(lab).dimension() != dimension(lab)
     ]
-    bad_weight = [lab for lab in labels if weight_system(lab).total() != dimension(lab)]
+    bad_weight = [lab for lab in labels if sum(weight_system(lab).values()) != dimension(lab)]
     # reconstruction: resum a nontrivial decomposition in every family
     recon_ok = True
     for a, b in [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import multfree.classify as classify_mod
-from multfree.cases import case_spec, factor_weights, tau_spec
+from multfree.cases import case_spec, factor_weights, factors, tau_spec
 from multfree.classify import cross_check
 from multfree.cli import main
 from multfree.irreps import FormalSum, IrrepLabel, decompose_product, label_from_json
@@ -211,6 +211,35 @@ def test_classify_names_missing_or_extra_parameter(capsys, argv, message):
     assert err.strip() == f"error: {message}"
 
 
+def test_classify_help_lists_the_tau_factor_keys(capsys, monkeypatch):
+    # the epilog names VIII's keys with block indices i and j; a spec with
+    # one block of each kind numbers both 1
+    monkeypatch.setenv("COLUMNS", "1000")  # the epilog fills one line
+    with pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    epilog = capsys.readouterr().out.splitlines()[-1]
+    listed = epilog.split("tau factor keys per case: ", 1)[1].split(". ")[0]
+    specs = {
+        "I": case_spec("I", n=2),
+        "II": case_spec("II", k1=1, k2=1),
+        "III": case_spec("III", n=2),
+        "IV": case_spec("IV", n=2),
+        "V": case_spec("V", n=3),
+        "VI": case_spec("VI", n=3),
+        "VII": case_spec("VII", k=2, n=1),
+        "VIII": case_spec("VIII", m=(3,), kn=((1, 1),)),
+        "IX": case_spec("IX", n=2),
+    }
+    seen = []
+    for item in listed.split("; "):
+        cids, keys = item.split(": ")
+        keys = keys.replace(".i", ".1").replace(".j", ".1").split(",")
+        for cid in cids.split("/"):
+            seen.append(cid)
+            assert keys == [f.key for f in factors(specs[cid])], cid
+    assert seen == list(specs)
+
+
 def test_classify_bad_tau_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "I", "--n", "2", "--tau", "sp=1,2")
     assert code == 2
@@ -253,12 +282,21 @@ def test_verify_json_has_no_prose(capsys):
         assert set(row) <= {"case", "params", "tau", "verdict", "degree", "expected", "consistency", "witness"}
 
 
-def test_verify_cases_keep_order_and_duplicates(capsys):
-    code, out, _ = run_cli(capsys, "verify-theorem1", "--bound", "0", "--degree", "1", "--cases", "IX,I,ix")
+def test_verify_cases_keep_order(capsys):
+    code, out, _ = run_cli(capsys, "verify-theorem1", "--bound", "0", "--degree", "1", "--cases", "IX,i")
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()[:-1]] == [
-        "IX(n=1)", "IX(n=2)", "I(n=2)", "I(n=3)", "IX(n=1)", "IX(n=2)"
+        "IX(n=1)", "IX(n=2)", "I(n=2)", "I(n=3)"
     ]
+
+
+@pytest.mark.parametrize("cases, cid", [("I,I", "I"), ("i,,I", "I"), ("IX,I,ix", "IX")])
+def test_verify_repeated_case_exits_2(capsys, cases, cid):
+    # a repeated case would sweep its rows twice
+    code, out, err = run_cli(capsys, "verify-theorem1", "--cases", cases)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: case {cid!r} given twice"
 
 
 def test_verify_unknown_case_exits_2(capsys):
@@ -426,6 +464,9 @@ def test_tensor_json_reads_back_as_formal_sum(pair):
     got = FormalSum.from_json(data)
     assert got == decompose_product([IrrepLabel(family, rank, a), IrrepLabel(family, rank, b)])
     assert got.to_json() == data
+    assert FormalSum.from_json({"entries": data["entries"]}) == got
+    with pytest.raises(ValueError):
+        FormalSum.from_json({**data, "truncation": 6})
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,6 @@
 import pytest
 
-from multfree.irreps import decompose_product, dimension, is_multiplicity_free, sp, trivial
+from multfree.irreps import decompose_product, dimension, sp, trivial
 from multfree.partitions import all_partitions, canonical
 from multfree.sp_pieri import (
     pieri_coefficient,
@@ -124,7 +124,7 @@ def test_self_multiplicity_after_two_box_row():
 def test_constant_partitions_are_exactly_the_free_ones():
     for n in (2, 3):
         for eta in all_partitions(3, n):
-            free = all(is_multiplicity_free(pieri_tensor(eta, s, n)) for s in range(6))
+            free = all(pieri_tensor(eta, s, n).is_multiplicity_free() for s in range(6))
             assert free == (len(set(eta)) <= 1), (eta, n)
 
 
