@@ -25,8 +25,10 @@ non-circle intertwiner factors).  The families are:
 
 The layout of the graded products is written once, in ``blocks(spec)``: the
 VI and VII block specs of family VIII, and the two halves of family II, each
-with the keys of its factors in the whole spec.  The II and VIII factors, the
-VIII series and the classifier's split of tau are all derived from it.
+with the keys of its factors in the whole spec.  The II and VIII factors,
+their whole series (one graded product of the block series) and the
+classifier's split of tau are all derived from it.  The route parameters of
+a II term are its halves' (l, r), read as (l1, r) and (l2, s).
 
 Degree truncation bounds the sum of the grading parameters of omega (the
 polynomial degrees); the test representation is never truncated.
@@ -358,7 +360,11 @@ def _row_product(a: IrrepLabel, b: IrrepLabel) -> list[IrrepLabel]:
 @lru_cache(maxsize=128)
 def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
     """All terms of the metaplectic series with grading degree <= ``degree``.
-    Each one-row label is built once, in a table indexed by row length."""
+    Each one-row label is built once, in a table indexed by row length.  The
+    II and VIII series are the graded product of their block series
+    (``blocks``): a VIII term tags each block's parameters with the block's
+    first key, and a II term takes half a's (l, r) as (l1, r) and half b's as
+    (l2, s)."""
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
     cid = spec.case_id
@@ -371,20 +377,6 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
         for r, ulabs in enumerate(_sp_slots(spec["k"], degree)):
             for l in range(degree - r + 1):
                 out.append(OmegaEntry(r + l, (r + l,), ulabs, (("l", l), ("r", r))))
-    elif cid == "II":
-        slots2 = _sp_slots(spec["k2"], degree)
-        for r, u1 in enumerate(_sp_slots(spec["k1"], degree)):
-            for s, u2 in enumerate(slots2[: degree - r + 1]):
-                for l1 in range(degree - r - s + 1):
-                    for l2 in range(degree - r - s - l1 + 1):
-                        out.append(
-                            OmegaEntry(
-                                r + s + l1 + l2,
-                                (r + l1, s + l2),
-                                u1 + u2,
-                                (("l1", l1), ("l2", l2), ("r", r), ("s", s)),
-                            )
-                        )
     elif cid == "III":
         rows = _rows("sp", spec["n"], degree)
         for r in range(degree + 1):
@@ -425,7 +417,7 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
         rows = _rows("u", spec["n"], degree)
         for r in range(degree + 1):
             out.append(OmegaEntry(r, (), (rows[r],), (("r", r),)))
-    else:  # VIII: graded product of the block series, each term tagged
+    else:  # II and VIII: the graded product of the block series (``blocks``)
         acc = [(0, (), (), ())]
         for block, keys in blocks(spec):
             tag = ("block", keys[0])
@@ -435,7 +427,13 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
                 for e in omega_entries(block, degree)
                 if d + e.degree <= degree
             ]
-        out = [OmegaEntry(d, t, u, (("blocks", p),)) for d, t, u, p in acc]
+        for d, t, u, p in acc:
+            if cid == "II":  # half a's (l, r) is (l1, r), half b's is (l2, s)
+                (_, (_, l1), (_, r)), (_, (_, l2), (_, s)) = p
+                params = (("l1", l1), ("l2", l2), ("r", r), ("s", s))
+            else:
+                params = (("blocks", p),)
+            out.append(OmegaEntry(d, t, u, params))
     out.sort()
     return tuple(out)
 

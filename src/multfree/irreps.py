@@ -82,7 +82,7 @@ class IrrepLabel:
                 raise ValueError(f"so weight must have length {self.rank}: {w}")
             if any(a < b for a, b in zip(w[:-1], w[1:-1])):
                 raise ValueError(f"so weight not weakly decreasing: {w}")
-            if self.rank >= 2 and w[-2] < abs(w[-1]):
+            if w[-2] < abs(w[-1]):
                 raise ValueError(f"so weight needs a[n-2] >= |a[n-1]|: {w}")
         elif self.family == "circle":
             if self.rank != 1:
@@ -137,14 +137,6 @@ def circle(r: int) -> IrrepLabel:
 # formal sums
 
 
-def label_from_json(data):
-    if "torus" in data:
-        from .cases import CompositeLabel
-
-        return CompositeLabel.from_json(data)
-    return IrrepLabel.from_json(data)
-
-
 class FormalSum:
     """
     An exact decomposition: a mapping from irreducible labels to
@@ -190,7 +182,7 @@ class FormalSum:
             raise ValueError(f"not an exact decomposition: truncation {trunc!r}")
         entries = {}
         for row in data["entries"]:
-            entries[label_from_json(row["label"])] = int(row["mult"])
+            entries[IrrepLabel.from_json(row["label"])] = int(row["mult"])
         return cls(entries)
 
     def __repr__(self) -> str:

@@ -516,8 +516,6 @@ def test_omega_case_viii_matches_monomial_model(spec):
     # exponents a, then r - s + j for each su(2) block (row-1 degree r,
     # row-2 degree s, sp degree j); the u-slots hold, block after block, the
     # u(k_j) weight (column sums of both rows) and the sp(n_j) weight.
-    from multfree.irreps import weyl_character
-
     top = 3
     ms, kns = spec["m"], spec["kn"]
     nvars = sum(ms) + sum(2 * k + 2 * n for k, n in kns)
@@ -538,6 +536,14 @@ def test_omega_case_viii_matches_monomial_model(spec):
                 uweights += tuple(c[2 * i] - c[2 * i + 1] for i in range(n))
             e = torus + uweights
             terms[e] = terms.get(e, 0) + 1
+    assert _characters_by_degree(spec, top) == model
+
+
+def _characters_by_degree(spec, top):
+    # the series up to degree top as one character per degree: torus vector
+    # followed by the u-slot weights, with multiplicities
+    from multfree.irreps import weyl_character
+
     series = {}
     for oe in omega_entries(spec, top):
         terms = series.setdefault(oe.degree, {})
@@ -548,4 +554,24 @@ def test_omega_case_viii_matches_monomial_model(spec):
             for _, c in combo:
                 coeff *= c
             terms[e] = terms.get(e, 0) + coeff
-    assert series == model
+    return series
+
+
+@pytest.mark.parametrize("k1, k2", [(1, 1), (2, 1), (0, 2), (1, 0)])
+def test_omega_case_ii_matches_monomial_model(k1, k2):
+    # first-principles check of the family II series: polynomials on
+    # C^{2k1} + C^2 + C^{2k2} (variables x, y, z), graded by total degree.
+    # The two circles act by |x| + y_1 and |z| + y_2; the u-slots hold the
+    # sp(k1) weight (x_{2i} - x_{2i+1}) and the sp(k2) weight
+    # (z_{2i} - z_{2i+1}).  A slot is absent when its k is 0.
+    top = 3
+    model = {}
+    for d in range(top + 1):
+        terms = model.setdefault(d, {})
+        for v in _exponent_vectors(2 * k1 + 2 + 2 * k2, d):
+            x, (y1, y2), z = v[: 2 * k1], v[2 * k1 : 2 * k1 + 2], v[2 * k1 + 2 :]
+            e = (sum(x) + y1, sum(z) + y2)
+            e += tuple(x[2 * i] - x[2 * i + 1] for i in range(k1))
+            e += tuple(z[2 * i] - z[2 * i + 1] for i in range(k2))
+            terms[e] = terms.get(e, 0) + 1
+    assert _characters_by_degree(case_spec("II", k1=k1, k2=k2), top) == model

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import multfree.classify as classify_mod
-from multfree.cases import case_spec, factor_weights, factors, tau_spec
+from multfree.cases import CompositeLabel, case_spec, factor_weights, factors, tau_spec
 from multfree.classify import cross_check
 from multfree.cli import main
-from multfree.irreps import FormalSum, IrrepLabel, decompose_product, label_from_json
+from multfree.irreps import FormalSum, IrrepLabel, decompose_product
 from multfree.sp_pieri import pieri_tensor
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -160,6 +160,44 @@ def test_classify_witness_routes(capsys):
     )
     assert code == 0
     assert out.count("route degree") == 2
+
+
+# the whole --witness text of a family II row and a family VIII row: the
+# golden files write JSON with sorted keys, so only this text pins the key
+# order of the omega and tau dicts of each route
+WITNESS_TEXTS = [
+    (
+        ("II", "--k1", "1", "--k2", "1", "--tau", "su2a=1,spb=1"),
+        [
+            "MULTIPLICITY at (χ(-1,2); η(), η(1)) (x2) - not commutative",
+            "  route degree 2: omega {'l1': 0, 'l2': 0, 'r': 0, 's': 2}, "
+            "tau {'su2a': (-1,), 'su2b': (0,), 'spa': (), 'spb': (1,)}, mult 1",
+            "  route degree 2: omega {'l1': 0, 'l2': 2, 'r': 0, 's': 0}, "
+            "tau {'su2a': (-1,), 'su2b': (0,), 'spa': (), 'spb': (1,)}, mult 1",
+            "expected: NotCommutative - CONSISTENT",
+        ],
+    ),
+    (
+        ("VIII", "--m", "3", "--kn", "1,0", "--tau", "su2.1=1"),
+        [
+            "MULTIPLICITY at (χ(0,0,0,0); υ(1)) (x2) - not commutative",
+            "  route degree 1: omega {'blocks': ((('block', 'su.1'), ('m_vec', (0, 0, 0))), "
+            "(('block', 'su2.1'), ('r', 0), ('s', 1), ('u_inner', (1,))))}, "
+            "tau {'su.1': (0, 0), 'su2.1': (1,), 's1.1': (0,), 'u.1': (0,)}, mult 1",
+            "  route degree 1: omega {'blocks': ((('block', 'su.1'), ('m_vec', (0, 0, 0))), "
+            "(('block', 'su2.1'), ('r', 1), ('s', 0), ('u_inner', (1,))))}, "
+            "tau {'su.1': (0, 0), 'su2.1': (-1,), 's1.1': (0,), 'u.1': (0,)}, mult 1",
+            "expected: NotCommutative - CONSISTENT",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, lines", WITNESS_TEXTS, ids=["II", "VIII"])
+def test_classify_witness_text_of_block_families(capsys, argv, lines):
+    code, out, _ = run_cli(capsys, "classify", *argv, "--degree", "4", "--witness")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in lines)
 
 
 def test_classify_json_roundtrip(capsys):
@@ -490,6 +528,7 @@ VIII_3_1 = case_spec("VIII", m=(3,), kn=((1, 0),))
         (("VII", "--k", "2", "--n", "1"), case_spec("VII", k=2, n=1), {"u": (1, 0)}),
         (("VIII", "--m", "3", "--kn", "1,0"), VIII_3_1, {"su2.1": (1,)}),
         (("VIII", "--m", "3", "--kn", "1,0"), VIII_3_1, {"s1.1": (2,), "u.1": (-1,)}),
+        (("II", "--k1", "2", "--k2", "1"), case_spec("II", k1=2, k2=1), {"su2a": (1,), "spb": (1,)}),
     ],
 )
 def test_classify_json_witness_reads_back_as_label(argv, spec, weights):
@@ -498,7 +537,7 @@ def test_classify_json_witness_reads_back_as_label(argv, spec, weights):
     verdict = cross_check(spec, tau_spec(spec, **weights), 5).verdict
     assert ("witness" in data) == verdict.multiplicity_found
     if verdict.multiplicity_found:
-        assert label_from_json(data["witness"]) == verdict.witness
+        assert CompositeLabel.from_json(data["witness"]) == verdict.witness
         assert verdict.witness.to_json() == data["witness"]
 
 
@@ -512,5 +551,5 @@ def test_verify_json_witness_reads_back_as_label():
         assert ("witness" in got) == row.verdict.multiplicity_found
         if row.verdict.multiplicity_found:
             found += 1
-            assert label_from_json(got["witness"]) == row.verdict.witness
+            assert CompositeLabel.from_json(got["witness"]) == row.verdict.witness
     assert 0 < found < len(rows)
