@@ -49,6 +49,7 @@ lists and their torus index per (case, degree bound).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -454,7 +455,8 @@ def _omega_by_torus(spec: CaseSpec, degree: int) -> dict[tuple[int, ...], tuple[
 
 def tau_entries(spec: CaseSpec, tau: TauSpec) -> tuple[TauEntry, ...]:
     """Torus expansion of tau: every torus-factor label is replaced by its
-    weight system; u-slot labels pass through intact."""
+    weight system; u-slot labels pass through intact, so every entry carries
+    the same u-slot labels, tau's own."""
     dim = torus_dim(spec)
     n_slots = len(u_slots(spec))
     acc: list[tuple[list[int], list, int, tuple]] = [([0] * dim, [None] * n_slots, 1, ())]
@@ -490,18 +492,21 @@ def product_terms(
     Every production of the truncated series omega (x) tau restricted to the
     torus-times-intertwiner subgroup, as ``(omega entry, tau entry, label,
     multiplicity)``, omega entries in degree order: torus characters add and
-    u-slot factors are decomposed by the oracle.
+    u-slot factors are decomposed by the oracle, once per omega entry, since
+    every tau entry carries the same u-slot labels (``tau_entries``).
     """
     tentries = tau_entries(spec, tau)
+    tau_ulabels = tentries[0].ulabels
     for oe in omega_entries(spec, degree):
+        per_slot = [tensor_pair(a, b).items() for a, b in zip(oe.ulabels, tau_ulabels)]
+        combos = [
+            (tuple(lab for lab, _ in combo), math.prod(m for _, m in combo))
+            for combo in itertools.product(*per_slot)
+        ]
         for te in tentries:
             t = tuple(a + b for a, b in zip(oe.torus, te.torus))
-            per_slot = [tensor_pair(a, b).items() for a, b in zip(oe.ulabels, te.ulabels)]
-            for combo in itertools.product(*per_slot):
-                mult = te.mult
-                for _, m in combo:
-                    mult *= m
-                yield oe, te, CompositeLabel(t, tuple(lab for lab, _ in combo)), mult
+            for ulabels, mult in combos:
+                yield oe, te, CompositeLabel(t, ulabels), te.mult * mult
 
 
 def production_routes(

@@ -1,4 +1,5 @@
 import gzip
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -10,6 +11,7 @@ from multfree.cases import (
     CompositeLabel,
     case_spec,
     factor_weights,
+    factors,
     omega_entries,
     product_terms,
     tau_candidates,
@@ -248,13 +250,19 @@ def _graded_product(series, degree):
     ids=str,
 )
 def test_viii_series_is_the_graded_product_of_its_blocks(spec):
+    # the omega half checks VIII only: omega_entries builds the whole II series
+    # as this very product of its halves, so for II it would compare the
+    # product with itself (test_omega_case_ii_matches_monomial_model in
+    # test_cases.py is II's independent series reference); the tau split is
+    # checked for both
     degree = 4
-    omega = Counter((oe.degree, oe.torus, oe.ulabels) for oe in omega_entries(spec, degree))
-    blocks = [
-        Counter((oe.degree, oe.torus, oe.ulabels) for oe in omega_entries(b, degree))
-        for b, _ in classify_mod._blocks(spec, tau_spec(spec))
-    ]
-    assert omega == _graded_product(blocks, degree)
+    if spec.case_id == "VIII":
+        omega = Counter((oe.degree, oe.torus, oe.ulabels) for oe in omega_entries(spec, degree))
+        blocks = [
+            Counter((oe.degree, oe.torus, oe.ulabels) for oe in omega_entries(b, degree))
+            for b, _ in classify_mod._blocks(spec, tau_spec(spec))
+        ]
+        assert omega == _graded_product(blocks, degree)
     for tau in tau_candidates(spec, 1):
         whole = Counter()
         for te in tau_entries(spec, tau):
@@ -329,6 +337,89 @@ def test_scan_memo_is_transparent():
     warm = [classify(spec, tau, degree).to_json() for spec, tau, degree in reversed(rows)]
     assert warm[::-1] == cold
     assert any(v["verdict"] == "MultiplicityFound" for v in cold)
+
+
+# the grid specs and the two VIII specs with a k >= 2 block that the
+# commutative-deep benchmark adds to the grid
+CHARACTER_SPECS = tuple(default_grid()) + (
+    case_spec("VIII", kn=((2, 0),)),
+    case_spec("VIII", m=(3,), kn=((2, 0),)),
+)
+
+
+def _character_taus(spec):
+    # the first factor that is not a circle or u(k) at its first fundamental
+    # weight, times every circle weight and determinant power (c, ..., c) in
+    # -2..2; a u(k) factor with k >= 2 also takes (c + 1, c, ..., c), which
+    # is no character and stays in the scanned piece
+    fs = factors(spec)
+    base = next((f for f in fs if f.family not in ("circle", "u")), None)
+    choices = []
+    for f in fs:
+        if f.family == "circle":
+            ws = [(c,) for c in range(-2, 3)]
+        elif f.family == "u":
+            ws = [(c,) * f.rank for c in range(-2, 3)]
+            if f.rank > 1:
+                ws += [(c + 1,) + (c,) * (f.rank - 1) for c in range(-2, 3)]
+        elif f is base:
+            ws = [(1,) + (0,) * (f.rank - 1) if f.family == "so" else (1,)]
+        else:
+            ws = [None]
+        choices.append([(f.key, w) for w in ws])
+    for combo in itertools.product(*choices):
+        yield tau_spec(spec, **{key: w for key, w in combo if w is not None})
+
+
+@pytest.mark.parametrize("spec", CHARACTER_SPECS, ids=str)
+def test_character_shift_matches_full_series(cold_scans, spec):
+    # a tau piece with circle weights or determinant powers is scanned as its
+    # character-free piece and the result moved by the characters; checked
+    # against the unmemoised scan of the whole series with the real tau
+    degree = 8
+    moved = 0
+    for tau in _character_taus(spec):
+        v = classify(spec, tau, degree)
+        full = _full_scan_witness(spec, tau, degree)
+        if full is None:
+            assert not v.multiplicity_found, str(tau)
+            continue
+        assert (v.witness, v.witness_degree, v.multiplicity) == full, str(tau)
+        assert verify_witness(spec, tau, v), str(tau)
+        moved += any(
+            f.family in ("circle", "u") and len(set(lab.weight)) == 1 and not lab.is_trivial
+            for f, lab in zip(factors(spec), tau.labels)
+        )
+    if spec.case_id in ("V", "VI", "VII", "VIII"):
+        # these specs have both a character factor and a witness-making base
+        assert moved, str(spec)
+
+
+def test_scan_draws_one_series_per_tau_modulo_characters(monkeypatch, cold_scans):
+    # two witness rows that differ only by the circle weight of the block
+    # that holds the witness draw each block's omega series once
+    spec = case_spec("VIII", m=(3,), kn=((1, 0),))
+    first = tau_spec(spec, **{"su.1": (1,)})
+    second = tau_spec(spec, **{"su.1": (1,), "s1.1": 2})
+    drawn = Counter()
+    pieces = []
+
+    def recording(scanned, piece, *args, **kwargs):
+        drawn[scanned] += 1
+        pieces.append(piece)
+        return product_terms(scanned, piece, *args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, "product_terms", recording)
+    v1, v2 = classify(spec, first, 6), classify(spec, second, 6)
+    assert drawn == Counter(b for b, _ in classify_mod._blocks(spec, first))
+    # only character-free pieces are scanned: s1 of the VI block stays trivial
+    assert all(p.label("s1").is_trivial for p in pieces if p.spec.case_id == "VI")
+    assert v1.multiplicity_found and v2.multiplicity_found
+    s1 = next(f.pos for f in factors(spec) if f.key == "s1.1")
+    moved = tuple(x + 2 * (i == s1) for i, x in enumerate(v1.witness.torus))
+    assert v2.witness == CompositeLabel(moved, v1.witness.ulabels)
+    assert (v2.witness_degree, v2.multiplicity) == (v1.witness_degree, v1.multiplicity)
+    assert verify_witness(spec, second, v2)
 
 
 def test_classify_case_iv_standard_rep():
