@@ -184,6 +184,7 @@ def factors(spec: CaseSpec) -> tuple[Factor, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def blocks(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[str, ...]], ...]:
     """The blocks of a spec in block order, each with the keys its factors
     have in ``spec``.  A family VIII spec has ``VI(n=m_i)`` with (su.i, s1.i),

@@ -17,11 +17,10 @@ witness found, from the scans of its blocks (see ``classify``); the full
 product series is only walked for the witness's multiplicity and routes.
 Block scans are memoised on (block spec, tau piece, degree), since a sweep
 meets the same block with the same tau piece in many rows; a scan's result
-is immutable, so a shared entry cannot be changed by a caller.  A tau piece
-that carries one-dimensional characters of K (circle weights, determinant
-powers of u(k)) is served by the scan of its character-free piece: a
-character only moves every composite label, so it keeps multiplicities,
-degrees and label order (see ``_scan``).
+is immutable, so a shared entry cannot be changed by a caller.  Tau's
+one-dimensional characters of K (circle weights, determinant powers of
+u(k)) are split off once per row before the scans: a character only moves
+every composite label (see ``_split_characters``).
 
 ``expected_verdict`` encodes the published classification table for the
 nine families; ``cross_check`` compares it against the computed verdict and
@@ -35,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .cases import (
     CaseSpec,
@@ -46,8 +46,6 @@ from .cases import (
     product_terms,
     production_routes,
     tau_candidates,
-    torus_dim,
-    u_slots,
 )
 from .irreps import IrrepLabel, trivial
 
@@ -95,8 +93,46 @@ class ExpectedVerdict:
 
 def deg_window(spec: CaseSpec, tau: TauSpec) -> int:
     """Default truncation: every known witness construction moves the grading
-    parameters by at most 2 in at most two places beyond the tau weights."""
+    parameters by at most 2 in at most two places beyond the tau weights.
+    ``classify`` passes tau without its characters, which move no degree."""
     return tau.weight_size() + 4
+
+
+def _split_characters(spec: CaseSpec, tau: TauSpec) -> tuple[TauSpec, Callable]:
+    """Tau with its one-dimensional characters of K made trivial (tau itself
+    when it carries none), and the label shift that they make.
+
+    Such a character is a circle weight c, which shifts the circle's torus
+    coordinate by c, or a constant u(k) weight (c, ..., c), a determinant
+    power, which shifts every weight on its u-slot by c (every u(1) weight
+    is one).  Tensoring with a character maps each production of the
+    character-free series, (omega entry, tau entry, label, multiplicity), to
+    one of the whole series with the same omega entry and multiplicity and
+    the label moved by the shift: the tau entries move their torus vector,
+    and tensor_pair(a, b + (c, ..., c)) is tensor_pair(a, b) with every
+    constituent moved by (c, ..., c).  So the shift is a bijection on labels
+    that keeps multiplicity and degree.  It keeps the label order too: on the
+    torus it is a translation, and on each u-slot it adds (c, ..., c) to
+    weights of the same rank, which are compared lexicographically.  The
+    witness degree and the witness therefore move with it.
+    """
+    chars, labels = {}, []
+    for f, lab in zip(factors(spec), tau.labels):
+        if f.family in ("circle", "u") and lab.weight[0] != 0 and len(set(lab.weight)) == 1:
+            chars[f] = lab.weight[0]
+            lab = trivial(f.family, f.rank)
+        labels.append(lab)
+
+    def shift(lab: CompositeLabel) -> CompositeLabel:
+        torus, ulabels = list(lab.torus), list(lab.ulabels)
+        for f, c in chars.items():
+            if f.family == "circle":
+                torus[f.pos] += c
+            else:
+                ulabels[f.pos] = IrrepLabel("u", f.rank, tuple(x + c for x in ulabels[f.pos].weight))
+        return CompositeLabel(tuple(torus), tuple(ulabels))
+
+    return (TauSpec(spec, tuple(labels)) if chars else tau), shift
 
 
 @lru_cache(maxsize=1024)
@@ -108,49 +144,9 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[tuple, int | None,
 
     Omega terms come in degree order, so the scan stops once the first degree
     at which some label reaches multiplicity 2 is complete: any later witness
-    would be reached at a higher degree.
-
-    A piece of tau that carries one-dimensional characters of K is served by
-    the scan of its character-free piece.  Two kinds of factor label are such
-    characters: a circle weight c, which shifts the circle's torus
-    coordinate by c, and a constant u(k) weight (c, ..., c), a determinant
-    power, which shifts every weight on that u-slot by c (every u(1) weight
-    is one).  Tensoring with a character maps each production of the
-    character-free series, (omega entry, tau entry, label, multiplicity), to
-    one of the whole series with the same omega entry and multiplicity and
-    the label moved by the shift: the tau entries move their torus vector,
-    and tensor_pair(a, b + (c, ..., c)) is tensor_pair(a, b) with every
-    constituent moved by (c, ..., c).  So the shift is a bijection on labels
-    that keeps multiplicity and degree.  It keeps the label order too: on the
-    torus it is a translation, and on each u-slot it adds (c, ..., c) to
-    weights of the same rank, which are compared lexicographically.  The
-    witness degree, the least found label and the least degree-0 label
-    therefore all move with it.
-
-    Memoised on (spec, tau, degree); every value returned is immutable.  The
-    split runs only on a miss, and the character-free piece takes its own
-    entry in the same memo.
+    would be reached at a higher degree.  Memoised on (spec, tau, degree); tau
+    is character-free (see ``classify``), and every value is immutable.
     """
-    labels, torus_shift, slot_shift = [], [0] * torus_dim(spec), [0] * len(u_slots(spec))
-    for f, lab in zip(factors(spec), tau.labels):
-        w = lab.weight
-        character = f.family in ("circle", "u") and w[0] != 0 and len(set(w)) == 1
-        if character:
-            (torus_shift if f.family == "circle" else slot_shift)[f.pos] = w[0]
-        labels.append(trivial(f.family, f.rank) if character else lab)
-    if any(torus_shift) or any(slot_shift):
-        found, witness_degree, least0 = _scan(spec, TauSpec(spec, tuple(labels)), degree)
-
-        def shift(lab: CompositeLabel) -> CompositeLabel:
-            return CompositeLabel(
-                tuple(x + c for x, c in zip(lab.torus, torus_shift)),
-                tuple(
-                    IrrepLabel(ul.family, ul.rank, tuple(x + c for x in ul.weight)) if c else ul
-                    for ul, c in zip(lab.ulabels, slot_shift)
-                ),
-            )
-
-        return tuple(map(shift, found)), witness_degree, shift(least0)
     counts: dict[CompositeLabel, int] = {}
     found: list[CompositeLabel] = []
     witness_degree = None
@@ -211,15 +207,16 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
     The witness's ``multiplicity`` and ``routes`` count every production of
     the whole series up to the truncation degree.
     """
+    free, shift = _split_characters(spec, tau)
     if degree is None:
-        degree = deg_window(spec, tau)
-    scans = [_scan(b, t, degree) for b, t in _blocks(spec, tau)]
+        degree = deg_window(spec, free)
+    scans = [_scan(b, t, degree) for b, t in _blocks(spec, free)]
     witness_degree = min((d for _, d, _ in scans if d is not None), default=None)
     if witness_degree is None:
         return Verdict(False, degree)
     least0 = [z for _, _, z in scans]
-    witness = min(
-        (
+    witness = shift(
+        min(
             _join(least0[:i] + [min(found)] + least0[i + 1 :])
             for i, (found, d, _) in enumerate(scans)
             if d == witness_degree

@@ -422,6 +422,62 @@ def test_scan_draws_one_series_per_tau_modulo_characters(monkeypatch, cold_scans
     assert verify_witness(spec, second, v2)
 
 
+def test_row_with_a_character_adds_no_block_scan(cold_scans):
+    # classify splits tau's characters off before the block scans, so rows
+    # that differ from a scanned one only by a circle weight or a determinant
+    # power meet the memo on every block and add no entry to it
+    spec = case_spec("VIII", m=(3,), kn=((1, 0),))
+    classify(spec, tau_spec(spec, **{"su.1": (1,)}), 6)
+    before = classify_mod._scan.cache_info()
+    for characters in ({"s1.1": 2}, {"s1.1": 2, "u.1": (-1,)}):
+        classify(spec, tau_spec(spec, **{"su.1": (1,)}, **characters), 6)
+    after = classify_mod._scan.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits > before.hits
+
+
+def _tau_characters(spec, tau):
+    # (factor, c) for every circle weight and determinant power (c, ..., c)
+    # with c != 0 that tau carries
+    return [
+        (f, lab.weight[0])
+        for f, lab in zip(factors(spec), tau.labels)
+        if f.family in ("circle", "u")
+        and lab.weight[0] != 0
+        and all(x == lab.weight[0] for x in lab.weight)
+    ]
+
+
+def test_reference_rows_with_characters_move_the_character_free_row():
+    # every bound-2 grid row whose tau carries characters classifies, at
+    # degree 6, as the row with those factors trivial, with the witness
+    # moved by each character on its torus coordinate or u-slot, each route's
+    # tau weight at that factor moved by c, and the routes in the same order
+    rows = moved = 0
+    for spec in default_grid():
+        for tau in tau_candidates(spec, 2):
+            chars = _tau_characters(spec, tau)
+            if not chars:
+                continue
+            rows += 1
+            keys = {f.key for f, _ in chars}
+            kept = {k: tuple(w) for k, w in tau.to_json().items() if k not in keys}
+            want = classify(spec, tau_spec(spec, **kept), 6).to_json()
+            moved += "witness" in want
+            for f, c in chars if "witness" in want else ():
+                if f.family == "circle":
+                    want["witness"]["torus"][f.pos] += c
+                else:
+                    slot = want["witness"]["u"][f.pos]
+                    slot["weight"] = [x + c for x in slot["weight"]]
+                for r in want["routes"]:
+                    r["tau"][f.key] = [x + c for x in r["tau"][f.key]]
+            got = classify(spec, tau, 6).to_json()
+            same = json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+            assert same, (str(spec), str(tau))
+    assert rows == 398 and moved
+
+
 def test_classify_case_iv_standard_rep():
     spec = case_spec("IV", n=2)
     tau = tau_spec(spec, so=(1, 0))
@@ -488,6 +544,16 @@ def test_deg_window():
     spec = case_spec("I", n=2)
     assert deg_window(spec, tau_spec(spec, sp=(2, 1))) == 7
     assert classify(spec, tau_spec(spec, sp=(2, 1))).degree_bound == 7
+    # a character moves no witness degree, so the default window counts only
+    # the character-free weights: these two rows run at the same degree
+    spec = case_spec("VIII", m=(3,), kn=((2, 0),))
+    a = classify(spec, tau_spec(spec, **{"u.1": (1, 0)}))
+    b = classify(spec, tau_spec(spec, **{"s1.1": 2, "u.1": (1, 0)}))
+    assert a.degree_bound == b.degree_bound == 5
+    s1 = next(f.pos for f in factors(spec) if f.key == "s1.1")
+    moved = [x + 2 * (i == s1) for i, x in enumerate(a.witness.torus)]
+    assert list(b.witness.torus) == moved
+    assert b.witness.ulabels == a.witness.ulabels
 
 
 def test_expected_verdict_table():
@@ -587,16 +653,18 @@ def test_sweep_case_iv_nontrivial_all_found():
 
 def test_witness_degree_within_default_window():
     # empirical bound behind the default truncation window: every witness on
-    # the verification grid appears within tau-weight-size + 4
+    # the verification grid appears within the weight size of tau, without
+    # its circle weights and determinant powers, plus 4
     from multfree.classify import default_grid
 
     for spec in default_grid():
         for row in sweep(spec, 1, 6):
             if row.verdict.multiplicity_found and row.consistency == CONSISTENT:
-                assert row.verdict.witness_degree <= row.tau.weight_size() + 4, (
-                    spec,
-                    row.tau,
+                size = row.tau.weight_size() - sum(
+                    abs(c) * len(row.tau.label(f.key).weight)
+                    for f, c in _tau_characters(spec, row.tau)
                 )
+                assert row.verdict.witness_degree <= size + 4, (spec, row.tau)
 
 
 def test_sweep_viii_unitary_blocks_consistent():
