@@ -14,7 +14,8 @@ blocks, and a family II series that of its two spin(4) halves, on disjoint
 torus coordinates and u-slots, and tau splits the same way; a spec of any
 other family is its own single block.  Every spec is decided, and its
 witness found, from the scans of its blocks (see ``classify``); the full
-product series is only walked for the witness's multiplicity and routes.
+product series is only walked for the witness's multiplicity and routes,
+on their first read (see ``Verdict``), so a sweep never walks it.
 Block scans are memoised on (block spec, tau piece, degree), since a sweep
 meets the same block with the same tau piece in many rows; a scan's result
 is immutable, so a shared entry cannot be changed by a caller.  Tau's
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import cache, lru_cache
+from typing import Callable, NamedTuple
 
 from .cases import (
     CaseSpec,
@@ -54,14 +55,47 @@ INCONCLUSIVE = "INCONCLUSIVE"
 CONTRADICTION = "CONTRADICTION"
 
 
+class _Deferred(NamedTuple):
+    """A field value that ``fn()`` computes when the field is first read."""
+
+    fn: Callable[[], object]
+
+
+class _OnFirstRead:
+    """A dataclass field that holds a value or a ``_Deferred``, computed and
+    kept on the first read, so every read sees a plain value."""
+
+    def __init__(self, default):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # the class: dataclass takes this as the default
+            return self.default
+        value = obj.__dict__[self.name]
+        if isinstance(value, _Deferred):
+            value = obj.__dict__[self.name] = value.fn()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of ``classify``.  ``multiplicity`` and ``routes`` may be
+    given as ``_Deferred`` values: ``classify`` defers both to one recovery
+    of the witness routes, which runs on the first read of either.  Every
+    read, comparison, ``dataclasses.replace`` and output sees plain values."""
+
     multiplicity_found: bool
     degree_bound: int
     witness: CompositeLabel | None = None
-    multiplicity: int = 0
+    multiplicity: int = _OnFirstRead(0)
     witness_degree: int | None = None
-    routes: tuple = ()
+    routes: tuple = _OnFirstRead(())
 
     @property
     def outcome(self) -> str:
@@ -164,9 +198,19 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[tuple, int | None,
     return tuple(found), witness_degree, least0
 
 
+@lru_cache(maxsize=None)
+def _block_positions(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[int, ...]], ...]:
+    """The blocks of a spec (``cases.blocks``), each with the positions of
+    its factors in ``factors(spec)``."""
+    index = {f.key: i for i, f in enumerate(factors(spec))}
+    return tuple((b, tuple(index[key] for key in keys)) for b, keys in blocks(spec))
+
+
 def _blocks(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:
     """The blocks of a spec (``cases.blocks``), each with its piece of tau."""
-    return [(b, TauSpec(b, tuple(tau.label(key) for key in keys))) for b, keys in blocks(spec)]
+    return [
+        (b, TauSpec(b, tuple(tau.labels[i] for i in pos))) for b, pos in _block_positions(spec)
+    ]
 
 
 def _join(labels: list[CompositeLabel]) -> CompositeLabel:
@@ -205,7 +249,9 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
       factor.  The witness is the least of these joins over the blocks i.
 
     The witness's ``multiplicity`` and ``routes`` count every production of
-    the whole series up to the truncation degree.
+    the whole series up to the truncation degree.  They are recovered on the
+    first read of either, once, so a caller that reads only the verdict, the
+    witness and its degree (``cross_check``, ``sweep``) never recovers them.
     """
     free, shift = _split_characters(spec, tau)
     if degree is None:
@@ -222,15 +268,20 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
             if d == witness_degree
         )
     )
-    routes = production_routes(spec, tau, degree, witness)
-    routes.sort(key=lambda r: (r["degree"], json.dumps(r, sort_keys=True)))
+
+    @cache
+    def routes() -> tuple:
+        found = production_routes(spec, tau, degree, witness)
+        found.sort(key=lambda r: (r["degree"], json.dumps(r, sort_keys=True)))
+        return tuple(found)
+
     return Verdict(
         True,
         degree,
         witness=witness,
-        multiplicity=sum(r["mult"] for r in routes),
+        multiplicity=_Deferred(lambda: sum(r["mult"] for r in routes())),
         witness_degree=witness_degree,
-        routes=tuple(routes),
+        routes=_Deferred(routes),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import itertools
 import json
@@ -9,6 +10,8 @@ import pytest
 import multfree.classify as classify_mod
 from multfree.cases import (
     CompositeLabel,
+    TauSpec,
+    blocks,
     case_spec,
     factor_weights,
     factors,
@@ -194,6 +197,20 @@ def test_viii_block_decision_matches_full_series():
             block_degree = min((d for d in scans if d is not None), default=None)
             assert v.witness_degree == block_degree, (str(spec), str(tau))
     assert rows == 180
+
+
+def test_block_pieces_match_the_factor_keys():
+    # each block's piece of tau, cut by position, is the label of each of
+    # its factor keys in the whole spec
+    specs = tuple(default_grid()) + (
+        case_spec("VIII", kn=((2, 0),)),
+        case_spec("VIII", m=(3,), kn=((2, 0),)),
+        case_spec("II", k1=2, k2=1),
+    )
+    for spec in specs:
+        for tau in tau_candidates(spec, 1):
+            want = [(b, TauSpec(b, tuple(tau.label(key) for key in keys))) for b, keys in blocks(spec)]
+            assert classify_mod._blocks(spec, tau) == want, (str(spec), str(tau))
 
 
 # rows whose witness sits at degree 0: the adjoint weight (2,1) of su(3)
@@ -737,6 +754,52 @@ def test_verdict_json():
     assert data["witness"] == {"torus": [1], "u": [{"family": "sp", "rank": 2, "weight": [1]}]}
     free = Verdict(False, 6)
     assert free.to_json() == {"verdict": "MultiplicityFreeUpTo", "degree": 6}
+
+
+def _count_routes(monkeypatch):
+    calls = []
+    real = classify_mod.production_routes
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classify_mod, "production_routes", counted)
+    return calls
+
+
+def test_sweep_recovers_no_routes(monkeypatch):
+    # verdict, witness and witness degree come from the block scans alone
+    calls = _count_routes(monkeypatch)
+    rows = [row for spec in default_grid() for row in sweep(spec, 2, 6)]
+    assert len(rows) == 647 and any(r.verdict.multiplicity_found for r in rows)
+    assert calls == []
+
+
+def test_witness_routes_are_recovered_once_on_first_read(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    spec = case_spec("I", n=2)
+    tau = tau_spec(spec, su2=(1,), sp=(1,))
+    readers = (
+        lambda v: v.multiplicity,
+        lambda v: v.routes,
+        lambda v: v.to_json(),
+        str,
+    )
+    seen = None
+    for order in itertools.permutations(readers):
+        calls.clear()
+        v = classify(spec, tau, 6)
+        assert calls == []
+        out = [read(v) for read in order for _ in range(2)]
+        assert len(calls) == 1
+        assert seen is None or sorted(map(repr, out)) == seen
+        seen = sorted(map(repr, out))
+    eager = Verdict(True, 6, v.witness, v.multiplicity, v.witness_degree, v.routes)
+    assert classify(spec, tau, 6) == eager and eager.multiplicity == 2
+    assert dataclasses.replace(classify(spec, tau, 6)) == eager
+    bumped = dataclasses.replace(classify(spec, tau, 6), multiplicity=3)
+    assert (bumped.multiplicity, bumped.routes) == (3, eager.routes)
 
 
 def test_vii_u_condition_derivation():
