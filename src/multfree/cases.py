@@ -43,7 +43,9 @@ genuine collisions (the su-weight constructions of the source families) and
 invents spurious ones.
 
 All builders are pure; factor layouts are cached per case, and omega entry
-lists and their torus index per (case, degree bound).
+lists and their torus index per (case, degree bound).  Block layouts are
+not: every caller of ``blocks`` is cached itself, per case or per (case,
+degree bound).
 """
 
 from __future__ import annotations
@@ -184,7 +186,6 @@ def factors(spec: CaseSpec) -> tuple[Factor, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def blocks(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[str, ...]], ...]:
     """The blocks of a spec in block order, each with the keys its factors
     have in ``spec``.  A family VIII spec has ``VI(n=m_i)`` with (su.i, s1.i),
@@ -238,6 +239,11 @@ class TauSpec:
             if f.key == key:
                 return lab
         raise KeyError(key)
+
+    @property
+    def ulabels(self) -> tuple[IrrepLabel, ...]:
+        """The labels of the u-slot factors, in slot order."""
+        return tuple(lab for f, lab in zip(factors(self.spec), self.labels) if f.kind == "uslot")
 
     @property
     def is_trivial(self) -> bool:
@@ -320,7 +326,6 @@ class OmegaEntry(NamedTuple):
 
 class TauEntry(NamedTuple):
     torus: tuple[int, ...]
-    ulabels: tuple[IrrepLabel, ...]
     mult: int
     weights: tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -456,30 +461,23 @@ def _omega_by_torus(spec: CaseSpec, degree: int) -> dict[tuple[int, ...], tuple[
 
 def tau_entries(spec: CaseSpec, tau: TauSpec) -> tuple[TauEntry, ...]:
     """Torus expansion of tau: every torus-factor label is replaced by its
-    weight system; u-slot labels pass through intact, so every entry carries
-    the same u-slot labels, tau's own."""
-    dim = torus_dim(spec)
-    n_slots = len(u_slots(spec))
-    acc: list[tuple[list[int], list, int, tuple]] = [([0] * dim, [None] * n_slots, 1, ())]
+    weight system.  A u-slot label is not expanded: every entry has tau's
+    own (``TauSpec.ulabels``) and only lists its weight."""
+    acc: list[tuple[list[int], int, tuple]] = [([0] * torus_dim(spec), 1, ())]
     for f, lab in zip(factors(spec), tau.labels):
-        nxt = []
         if f.kind == "uslot":
-            for torus, ulabs, mult, weights in acc:
-                u2 = list(ulabs)
-                u2[f.pos] = lab
-                nxt.append((torus, u2, mult, weights + ((f.key, lab.weight),)))
-        else:
-            ws = weight_system(lab)
-            for torus, ulabs, mult, weights in acc:
-                for vec, wm in sorted(ws.items()):
-                    t2 = list(torus)
-                    for i, x in enumerate(vec):
-                        t2[f.pos + i] += x
-                    nxt.append((t2, ulabs, mult * wm, weights + ((f.key, vec),)))
+            acc = [(torus, mult, weights + ((f.key, lab.weight),)) for torus, mult, weights in acc]
+            continue
+        nxt = []
+        ws = sorted(weight_system(lab).items())
+        for torus, mult, weights in acc:
+            for vec, wm in ws:
+                t2 = list(torus)
+                for i, x in enumerate(vec):
+                    t2[f.pos + i] += x
+                nxt.append((t2, mult * wm, weights + ((f.key, vec),)))
         acc = nxt
-    return tuple(
-        TauEntry(tuple(torus), tuple(ulabs), mult, weights) for torus, ulabs, mult, weights in acc
-    )
+    return tuple(TauEntry(tuple(torus), mult, weights) for torus, mult, weights in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +492,10 @@ def product_terms(
     torus-times-intertwiner subgroup, as ``(omega entry, tau entry, label,
     multiplicity)``, omega entries in degree order: torus characters add and
     u-slot factors are decomposed by the oracle, once per omega entry, since
-    every tau entry carries the same u-slot labels (``tau_entries``).
+    every tau entry has tau's own u-slot labels (``tau_entries``).
     """
     tentries = tau_entries(spec, tau)
-    tau_ulabels = tentries[0].ulabels
+    tau_ulabels = tau.ulabels
     for oe in omega_entries(spec, degree):
         per_slot = [tensor_pair(a, b).items() for a, b in zip(oe.ulabels, tau_ulabels)]
         combos = [
@@ -517,17 +515,19 @@ def production_routes(
     All (omega term, tau term) productions of ``target``, with multiplicities.
     The omega series is indexed by torus vector once per (spec, degree); each
     tau entry is paired only with the omega entries on ``target``'s torus
-    vector minus its own, found by one lookup in that index.  A target of the
-    wrong shape for ``spec`` has no route.
+    vector minus its own, found by one lookup in that index, and every tau
+    entry has tau's own u-slot labels.  A target of the wrong shape for
+    ``spec`` has no route.
     """
-    if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(u_slots(spec)):
+    tau_ulabels = tau.ulabels
+    if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(tau_ulabels):
         return []
     by_torus = _omega_by_torus(spec, degree)
     routes = []
     for te in tau_entries(spec, tau):
         for oe in by_torus.get(tuple(a - b for a, b in zip(target.torus, te.torus)), ()):
             mult = te.mult
-            for a, b, want in zip(oe.ulabels, te.ulabels, target.ulabels):
+            for a, b, want in zip(oe.ulabels, tau_ulabels, target.ulabels):
                 mult *= tensor_pair(a, b).get(want, 0)
             if mult:
                 routes.append(

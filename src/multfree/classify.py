@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import Callable
 
 from .cases import (
     CaseSpec,
@@ -55,15 +55,11 @@ INCONCLUSIVE = "INCONCLUSIVE"
 CONTRADICTION = "CONTRADICTION"
 
 
-class _Deferred(NamedTuple):
-    """A field value that ``fn()`` computes when the field is first read."""
-
-    fn: Callable[[], object]
-
-
 class _OnFirstRead:
-    """A dataclass field that holds a value or a ``_Deferred``, computed and
-    kept on the first read, so every read sees a plain value."""
+    """A dataclass field that holds a value or a zero-argument function.  On
+    the first read of a function, its result, a dict from field names to
+    values, is stored in the object, so every read sees a plain value and one
+    call fills every field that it names."""
 
     def __init__(self, default):
         self.default = default
@@ -75,8 +71,9 @@ class _OnFirstRead:
         if obj is None:  # the class: dataclass takes this as the default
             return self.default
         value = obj.__dict__[self.name]
-        if isinstance(value, _Deferred):
-            value = obj.__dict__[self.name] = value.fn()
+        if callable(value):
+            obj.__dict__.update(value())
+            value = obj.__dict__[self.name]
         return value
 
     def __set__(self, obj, value):
@@ -86,9 +83,10 @@ class _OnFirstRead:
 @dataclass(frozen=True)
 class Verdict:
     """The outcome of ``classify``.  ``multiplicity`` and ``routes`` may be
-    given as ``_Deferred`` values: ``classify`` defers both to one recovery
-    of the witness routes, which runs on the first read of either.  Every
-    read, comparison, ``dataclasses.replace`` and output sees plain values."""
+    given as one zero-argument function that returns both (``_OnFirstRead``):
+    ``classify`` passes the recovery of the witness routes, which runs on the
+    first read of either.  Every read, comparison, ``dataclasses.replace``
+    and output sees plain values."""
 
     multiplicity_found: bool
     degree_bound: int
@@ -249,8 +247,8 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
       factor.  The witness is the least of these joins over the blocks i.
 
     The witness's ``multiplicity`` and ``routes`` count every production of
-    the whole series up to the truncation degree.  They are recovered on the
-    first read of either, once, so a caller that reads only the verdict, the
+    the whole series up to the truncation degree.  One recovery fills both on
+    the first read of either, so a caller that reads only the verdict, the
     witness and its degree (``cross_check``, ``sweep``) never recovers them.
     """
     free, shift = _split_characters(spec, tau)
@@ -269,20 +267,12 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
         )
     )
 
-    @cache
-    def routes() -> tuple:
-        found = production_routes(spec, tau, degree, witness)
-        found.sort(key=lambda r: (r["degree"], json.dumps(r, sort_keys=True)))
-        return tuple(found)
+    def recover() -> dict:
+        routes = production_routes(spec, tau, degree, witness)
+        routes.sort(key=lambda r: (r["degree"], json.dumps(r, sort_keys=True)))
+        return {"multiplicity": sum(r["mult"] for r in routes), "routes": tuple(routes)}
 
-    return Verdict(
-        True,
-        degree,
-        witness=witness,
-        multiplicity=_Deferred(lambda: sum(r["mult"] for r in routes())),
-        witness_degree=witness_degree,
-        routes=_Deferred(routes),
-    )
+    return Verdict(True, degree, witness, recover, witness_degree, recover)
 
 
 def verify_witness(spec: CaseSpec, tau: TauSpec, verdict: Verdict) -> bool:

@@ -188,14 +188,14 @@ def test_omega_degree_grading_case_v():
 def test_tau_restriction_case_i():
     spec = case_spec("I", n=2)
     tau = tau_spec(spec, su2=(1,), sp=(1,))
-    got = [(te.torus, te.ulabels, te.mult) for te in tau_entries(spec, tau)]
+    got = [(te.torus, tau.ulabels, te.mult) for te in tau_entries(spec, tau)]
     assert got == [((-1,), (sp(2, 1),), 1), ((1,), (sp(2, 1),), 1)]
 
 
 def test_tau_restriction_case_vii_trivial_parts():
     spec = case_spec("VII", k=2, n=1)
     tau = tau_spec(spec, u=(1, 0))
-    got = [(te.torus, te.ulabels, te.mult) for te in tau_entries(spec, tau)]
+    got = [(te.torus, tau.ulabels, te.mult) for te in tau_entries(spec, tau)]
     assert got == [((0,), (u(2, 1, 0), sp(1)), 1)]
 
 
@@ -401,7 +401,7 @@ def test_tau_restriction_total_dimension():
         total = 0
         for te in tau_entries(spec, tau):
             d = te.mult
-            for lab in te.ulabels:
+            for lab in tau.ulabels:
                 d *= dimension(lab)
             total += d
         assert total == expect, (spec, weights)

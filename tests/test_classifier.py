@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gzip
 import itertools
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import multfree.cases as cases_mod
 import multfree.classify as classify_mod
 from multfree.cases import (
     CompositeLabel,
@@ -213,6 +215,28 @@ def test_block_pieces_match_the_factor_keys():
             assert classify_mod._blocks(spec, tau) == want, (str(spec), str(tau))
 
 
+def test_tau_ulabels_are_the_uslot_labels_in_slot_order():
+    # product_terms and production_routes pair every tau entry with
+    # tau.ulabels, so it must list the u-slot labels by slot position; each
+    # u-slot gets a label of its own, so a wrong order shows
+    specs = (
+        tuple(default_grid())
+        + II_SPECS
+        + BLOCK_SPECS
+        + (
+            case_spec("VIII", m=(3,), kn=((1, 0), (1, 0))),
+            case_spec("VIII", m=(4,), kn=((1, 2), (2, 1))),
+        )
+    )
+    for spec in specs:
+        slots = [f for f in factors(spec) if f.kind == "uslot"]
+        # factor order is slot order
+        assert [f.pos for f in slots] == list(range(len(slots))), str(spec)
+        weights = {f.key: (i + 1,) + (0,) * (f.rank - 1) for i, f in enumerate(slots)}
+        for tau in (tau_spec(spec), tau_spec(spec, **weights)):
+            assert tau.ulabels == tuple(tau.label(f.key) for f in slots), (str(spec), str(tau))
+
+
 # rows whose witness sits at degree 0: the adjoint weight (2,1) of su(3)
 # repeats its zero weight, so the degree-0 term of a type-(VI) block repeats;
 # VIII(m=(3,3)) with su.1 = su.2 = (2,1) has two blocks repeating at degree 0
@@ -283,12 +307,12 @@ def test_viii_series_is_the_graded_product_of_its_blocks(spec):
     for tau in tau_candidates(spec, 1):
         whole = Counter()
         for te in tau_entries(spec, tau):
-            whole[(0, te.torus, te.ulabels)] += te.mult
+            whole[(0, te.torus, tau.ulabels)] += te.mult
         pieces = []
         for b, t in classify_mod._blocks(spec, tau):
             piece = Counter()
             for te in tau_entries(b, t):
-                piece[(0, te.torus, te.ulabels)] += te.mult
+                piece[(0, te.torus, t.ulabels)] += te.mult
             pieces.append(piece)
         assert whole == _graded_product(pieces, None), str(tau)
 
@@ -795,11 +819,41 @@ def test_witness_routes_are_recovered_once_on_first_read(monkeypatch):
         assert len(calls) == 1
         assert seen is None or sorted(map(repr, out)) == seen
         seen = sorted(map(repr, out))
+    # one recovery fills both fields, whichever is read first
+    for read in readers:
+        v = classify(spec, tau, 6)
+        read(v)
+        assert not any(callable(v.__dict__[name]) for name in ("multiplicity", "routes"))
     eager = Verdict(True, 6, v.witness, v.multiplicity, v.witness_degree, v.routes)
     assert classify(spec, tau, 6) == eager and eager.multiplicity == 2
     assert dataclasses.replace(classify(spec, tau, 6)) == eager
     bumped = dataclasses.replace(classify(spec, tau, 6), multiplicity=3)
     assert (bumped.multiplicity, bumped.routes) == (3, eager.routes)
+    # a copy of an unread verdict recovers on its own, once
+    calls.clear()
+    v = classify(spec, tau, 6)
+    c = copy.copy(v)
+    assert (c.routes, c.multiplicity, v.multiplicity, v.routes) == (eager.routes, 2, 2, eager.routes)
+    assert len(calls) == 2
+
+
+def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
+    # cases.blocks is not memoised: its callers are, per spec or per (spec,
+    # degree), so a sweep reads each spec's layout a few times, never per row
+    calls = Counter()
+    real = cases_mod.blocks
+
+    def counted(spec):
+        calls[spec] += 1
+        return real(spec)
+
+    monkeypatch.setattr(cases_mod, "blocks", counted)
+    monkeypatch.setattr(classify_mod, "blocks", counted)
+    for memo in (factors, omega_entries, classify_mod._block_positions, classify_mod._scan):
+        memo.cache_clear()
+    rows = [row for spec in CHARACTER_SPECS for row in sweep(spec, 2, 6)]
+    assert len(rows) == 1151
+    assert set(calls) == set(CHARACTER_SPECS) and max(calls.values()) <= 3
 
 
 def test_vii_u_condition_derivation():
