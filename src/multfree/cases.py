@@ -43,9 +43,8 @@ genuine collisions (the su-weight constructions of the source families) and
 invents spurious ones.
 
 All builders are pure; factor layouts are cached per case, and omega entry
-lists and their torus index per (case, degree bound).  Block layouts are
-not: every caller of ``blocks`` is cached itself, per case or per (case,
-degree bound).
+lists per (case, degree bound).  Block layouts are not: every caller of
+``blocks`` is cached itself, per case or per (case, degree bound).
 """
 
 from __future__ import annotations
@@ -445,16 +444,6 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=128)
-def _omega_by_torus(spec: CaseSpec, degree: int) -> dict[tuple[int, ...], tuple[OmegaEntry, ...]]:
-    """The ``omega_entries(spec, degree)`` entries on each torus vector, in
-    series order.  Shared by every caller: read it, never change it."""
-    index: dict[tuple[int, ...], list[OmegaEntry]] = {}
-    for oe in omega_entries(spec, degree):
-        index.setdefault(oe.torus, []).append(oe)
-    return {torus: tuple(entries) for torus, entries in index.items()}
-
-
 # ---------------------------------------------------------------------------
 # the tau side
 
@@ -513,26 +502,31 @@ def production_routes(
 ) -> list[dict]:
     """
     All (omega term, tau term) productions of ``target``, with multiplicities.
-    The omega series is indexed by torus vector once per (spec, degree); each
-    tau entry is paired only with the omega entries on ``target``'s torus
-    vector minus its own, found by one lookup in that index, and every tau
-    entry has tau's own u-slot labels.  A target of the wrong shape for
-    ``spec`` has no route.
+    Each tau entry is keyed by its partner torus vector, ``target``'s minus
+    its own; tau entries have distinct torus vectors (each torus factor owns
+    its coordinates, and a weight system folds multiplicities), so each omega
+    entry meets at most one partner, found by one lookup in one walk of the
+    series.  Every tau entry has tau's own u-slot labels.  A target of the
+    wrong shape for ``spec`` has no route.
     """
     tau_ulabels = tau.ulabels
     if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(tau_ulabels):
         return []
-    by_torus = _omega_by_torus(spec, degree)
+    partners = {
+        tuple(a - b for a, b in zip(target.torus, te.torus)): te for te in tau_entries(spec, tau)
+    }
     routes = []
-    for te in tau_entries(spec, tau):
-        for oe in by_torus.get(tuple(a - b for a, b in zip(target.torus, te.torus)), ()):
-            mult = te.mult
-            for a, b, want in zip(oe.ulabels, tau_ulabels, target.ulabels):
-                mult *= tensor_pair(a, b).get(want, 0)
-            if mult:
-                routes.append(
-                    {"degree": oe.degree, "omega": dict(oe.params), "tau": dict(te.weights), "mult": mult}
-                )
+    for oe in omega_entries(spec, degree):
+        te = partners.get(oe.torus)
+        if te is None:
+            continue
+        mult = te.mult
+        for a, b, want in zip(oe.ulabels, tau_ulabels, target.ulabels):
+            mult *= tensor_pair(a, b).get(want, 0)
+        if mult:
+            routes.append(
+                {"degree": oe.degree, "omega": dict(oe.params), "tau": dict(te.weights), "mult": mult}
+            )
     return routes
 
 

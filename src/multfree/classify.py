@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .cases import (
@@ -266,19 +266,22 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
             if d == witness_degree
         )
     )
-
-    def recover() -> dict:
-        routes = production_routes(spec, tau, degree, witness)
-        routes.sort(key=lambda r: (r["degree"], json.dumps(r, sort_keys=True)))
-        return {"multiplicity": sum(r["mult"] for r in routes), "routes": tuple(routes)}
-
+    recover = partial(_recover, spec, tau, degree, witness)
     return Verdict(True, degree, witness, recover, witness_degree, recover)
+
+
+def _recover(spec: CaseSpec, tau: TauSpec, degree: int, witness: CompositeLabel) -> dict:
+    """The witness's routes, sorted, and their total multiplicity, as the
+    ``Verdict`` fields that ``classify`` defers to their first read."""
+    routes = production_routes(spec, tau, degree, witness)
+    routes.sort(key=lambda r: (r["degree"], json.dumps(r, sort_keys=True)))
+    return {"multiplicity": sum(r["mult"] for r in routes), "routes": tuple(routes)}
 
 
 def verify_witness(spec: CaseSpec, tau: TauSpec, verdict: Verdict) -> bool:
     """Rebuild every production route of the witness from the whole product
-    series (``product_terms``, independent of the torus index that
-    ``production_routes`` uses), and confirm they reproduce the recorded
+    series (``product_terms``, independent of the targeted pairing of
+    ``production_routes``), and confirm they reproduce the recorded
     routes and multiplicity."""
     if not verdict.multiplicity_found:
         return True

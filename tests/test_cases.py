@@ -287,6 +287,19 @@ def _beyond(lab):
 @example((tau_spec(case_spec("III", n=2), sp2=(1,), sp=(1,)), 4), 17)
 @example((tau_spec(case_spec("II", k1=1, k2=1), su2a=(1,), spb=(1,)), 4), 5)
 @example((tau_spec(case_spec("VIII", m=(3,), kn=((1, 0),)), **{"su2.1": (1,)}), 6), 14)
+# tau weights on two blocks, so each partner torus spans both blocks'
+# coordinates; each target has 6 routes from 4 tau entries
+@example((tau_spec(case_spec("II", k1=2, k2=1), su2a=(1,), spa=(1, 0), su2b=(1,)), 4), 113)
+@example(
+    (
+        tau_spec(
+            case_spec("VIII", kn=((2, 0), (1, 1))),
+            **{"su2.1": (1,), "u.1": (1, 0), "su2.2": (1,), "sp.2": (1,)},
+        ),
+        3,
+    ),
+    95,
+)
 def test_production_routes_match_product_terms(tau_and_degree, pick):
     # the routes of a target are exactly its unfiltered productions
     tau, degree = tau_and_degree

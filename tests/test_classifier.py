@@ -3,6 +3,7 @@ import dataclasses
 import gzip
 import itertools
 import json
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -761,6 +762,15 @@ def test_beyond_grid_consistent():
     assert not bad, bad[:5]
 
 
+def test_tau_entries_have_distinct_torus_vectors():
+    # production_routes keys tau entries by torus vector, so no two entries
+    # of one tau may share one: 3,619 rows of the grid and the shapes beyond
+    for spec in default_grid() + list(BEYOND_GRID_SPECS):
+        for tau in tau_candidates(spec, 2):
+            tori = [te.torus for te in tau_entries(spec, tau)]
+            assert len(set(tori)) == len(tori), (str(spec), str(tau))
+
+
 def test_classify_is_the_submodule():
     import multfree
 
@@ -835,6 +845,26 @@ def test_witness_routes_are_recovered_once_on_first_read(monkeypatch):
     c = copy.copy(v)
     assert (c.routes, c.multiplicity, v.multiplicity, v.routes) == (eager.routes, 2, 2, eager.routes)
     assert len(calls) == 2
+
+
+def test_unread_witness_verdicts_pickle(monkeypatch):
+    # an unread verdict carries its deferred recovery through a pickle round
+    # trip; the copy recovers on its own first read, once
+    calls = _count_routes(monkeypatch)
+    spec = case_spec("I", n=2)
+    tau = tau_spec(spec, su2=(1,), sp=(1,))
+    v = classify(spec, tau, 6)
+    eager = Verdict(True, 6, v.witness, v.multiplicity, v.witness_degree, v.routes)
+    calls.clear()
+    unread = classify(spec, tau, 6)
+    clone = pickle.loads(pickle.dumps(unread))
+    assert calls == []
+    assert clone == eager and (clone.multiplicity, clone.routes) == (2, eager.routes)
+    assert len(calls) == 1
+    assert callable(unread.__dict__["routes"])
+    rows = sweep(spec, 2, 6)
+    assert any(r.verdict.multiplicity_found for r in rows)
+    assert pickle.loads(pickle.dumps(rows)) == rows
 
 
 def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
