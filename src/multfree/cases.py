@@ -51,13 +51,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .irreps import (
     IrrepLabel,
     OracleError,
+    ValidatedTuple,
     render_label,
     tensor_pair,
     trivial,
@@ -218,20 +220,26 @@ def u_slots(spec: CaseSpec) -> tuple[tuple[str, int], ...]:
     return tuple((f.family, f.rank) for f in factors(spec) if f.kind == "uslot")
 
 
-@dataclass(frozen=True)
-class TauSpec:
-    """One irreducible label per factor of K, in canonical factor order."""
-
+class _TauFields(NamedTuple):
     spec: CaseSpec
     labels: tuple[IrrepLabel, ...]
 
-    def __post_init__(self):
-        fs = factors(self.spec)
-        if len(self.labels) != len(fs):
-            raise ValueError(f"expected {len(fs)} factor labels, got {len(self.labels)}")
-        for f, lab in zip(fs, self.labels):
+
+class TauSpec(ValidatedTuple, _TauFields):
+    """One irreducible label per factor of K, in canonical factor order: a
+    tuple (spec, labels), checked against ``factors(spec)`` when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, spec: CaseSpec, labels: Iterable[IrrepLabel]) -> "TauSpec":
+        labels = tuple(labels)
+        fs = factors(spec)
+        if len(labels) != len(fs):
+            raise ValueError(f"expected {len(fs)} factor labels, got {len(labels)}")
+        for f, lab in zip(fs, labels):
             if lab.family != f.family or lab.rank != f.rank:
                 raise ValueError(f"factor {f.key} needs family {f.family}({f.rank}), got {lab}")
+        return super().__new__(cls, spec, labels)
 
     def label(self, key: str) -> IrrepLabel:
         for f, lab in zip(factors(self.spec), self.labels):
@@ -290,9 +298,9 @@ def tau_spec(spec: CaseSpec, **weights) -> TauSpec:
 # composite labels
 
 
-@dataclass(frozen=True, order=True)
-class CompositeLabel:
-    """A torus character and one label per u-slot; ordered by torus, then u-labels."""
+class CompositeLabel(NamedTuple):
+    """A torus character and one label per u-slot: a tuple (torus, ulabels),
+    hashed as that tuple and ordered by torus, then u-labels."""
 
     torus: tuple[int, ...]
     ulabels: tuple[IrrepLabel, ...]
@@ -480,19 +488,30 @@ def product_terms(
     Every production of the truncated series omega (x) tau restricted to the
     torus-times-intertwiner subgroup, as ``(omega entry, tau entry, label,
     multiplicity)``, omega entries in degree order: torus characters add and
-    u-slot factors are decomposed by the oracle, once per omega entry, since
-    every tau entry has tau's own u-slot labels (``tau_entries``).
+    u-slot factors are decomposed by the oracle.  Every tau entry has tau's
+    own u-slot labels (``tau_entries``), so the decomposition depends only on
+    the omega entry's u-labels, which many entries share: tables local to the
+    call ask the oracle once per u-slot label and combine the slots once per
+    u-label tuple.
     """
     tentries = tau_entries(spec, tau)
     tau_ulabels = tau.ulabels
+    slot_products: list[dict] = [{} for _ in tau_ulabels]
+    products: dict[tuple[IrrepLabel, ...], list] = {}
     for oe in omega_entries(spec, degree):
-        per_slot = [tensor_pair(a, b).items() for a, b in zip(oe.ulabels, tau_ulabels)]
-        combos = [
-            (tuple(lab for lab, _ in combo), math.prod(m for _, m in combo))
-            for combo in itertools.product(*per_slot)
-        ]
+        combos = products.get(oe.ulabels)
+        if combos is None:
+            per_slot = []
+            for a, b, table in zip(oe.ulabels, tau_ulabels, slot_products):
+                if a not in table:
+                    table[a] = tensor_pair(a, b).items()
+                per_slot.append(table[a])
+            combos = products[oe.ulabels] = [
+                (tuple(lab for lab, _ in combo), math.prod(m for _, m in combo))
+                for combo in itertools.product(*per_slot)
+            ]
         for te in tentries:
-            t = tuple(a + b for a, b in zip(oe.torus, te.torus))
+            t = tuple(map(operator.add, oe.torus, te.torus))
             for ulabels, mult in combos:
                 yield oe, te, CompositeLabel(t, ulabels), te.mult * mult
 

@@ -205,10 +205,12 @@ def _block_positions(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[int, ...]], 
 
 
 def _blocks(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:
-    """The blocks of a spec (``cases.blocks``), each with its piece of tau."""
-    return [
-        (b, TauSpec(b, tuple(tau.labels[i] for i in pos))) for b, pos in _block_positions(spec)
-    ]
+    """The blocks of a spec (``cases.blocks``), each with its piece of tau.
+    A spec that is its own single block gets tau itself as its piece."""
+    positions = _block_positions(spec)
+    if positions[0][0] == spec:
+        return [(spec, tau)]
+    return [(b, TauSpec(b, tuple(tau.labels[i] for i in pos))) for b, pos in positions]
 
 
 def _join(labels: list[CompositeLabel]) -> CompositeLabel:

@@ -32,8 +32,7 @@ pairwise tensor memo behaves as if absent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .laurent import LaurentPoly
 from .partitions import canonical
@@ -45,50 +44,75 @@ class OracleError(RuntimeError):
     """The character oracle reached an impossible state (a genuine bug)."""
 
 
-@dataclass(frozen=True, order=True)
-class IrrepLabel:
+class ValidatedTuple:
+    """The base of a NamedTuple value type that validates in ``__new__``:
+    ``_make`` (and through it ``_replace`` and, from Python 3.13,
+    ``copy.replace``) and unpickling call the constructor, so no way of
+    building a value skips its checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _IrrepFields(NamedTuple):
     family: str
     rank: int
     weight: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "weight", tuple(int(x) for x in self.weight))
-        w = self.weight
-        if self.family == "su":
-            if self.rank < 2:
+
+class IrrepLabel(ValidatedTuple, _IrrepFields):
+    """An irreducible label: a tuple (family, rank, weight), validated and
+    normalised when built, hashed as that tuple and ordered by family, then
+    rank, then weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int, weight: Iterable[int]) -> "IrrepLabel":
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        w = tuple(int(x) for x in weight)
+        if family == "su":
+            if rank < 2:
                 raise ValueError("su rank must be >= 2")
-            object.__setattr__(self, "weight", canonical(w))
-            if len(self.weight) > self.rank - 1:
-                raise ValueError(f"su({self.rank}) weight too long: {w}")
-        elif self.family == "sp":
-            if self.rank < 1:
+            part = canonical(w)
+            if len(part) > rank - 1:
+                raise ValueError(f"su({rank}) weight too long: {w}")
+            w = part
+        elif family == "sp":
+            if rank < 1:
                 raise ValueError("sp rank must be >= 1")
-            object.__setattr__(self, "weight", canonical(w))
-            if len(self.weight) > self.rank:
-                raise ValueError(f"sp({self.rank}) weight too long: {w}")
-        elif self.family == "u":
-            if self.rank < 1:
+            part = canonical(w)
+            if len(part) > rank:
+                raise ValueError(f"sp({rank}) weight too long: {w}")
+            w = part
+        elif family == "u":
+            if rank < 1:
                 raise ValueError("u rank must be >= 1")
-            if len(w) != self.rank:
-                raise ValueError(f"u({self.rank}) weight must have length {self.rank}: {w}")
+            if len(w) != rank:
+                raise ValueError(f"u({rank}) weight must have length {rank}: {w}")
             if any(a < b for a, b in zip(w, w[1:])):
                 raise ValueError(f"u weight not weakly decreasing: {w}")
-        elif self.family == "so":
-            if self.rank < 2:
+        elif family == "so":
+            if rank < 2:
                 raise ValueError("so rank must be >= 2 (of SO(2n), n = rank)")
-            if len(w) != self.rank:
-                raise ValueError(f"so weight must have length {self.rank}: {w}")
+            if len(w) != rank:
+                raise ValueError(f"so weight must have length {rank}: {w}")
             if any(a < b for a, b in zip(w[:-1], w[1:-1])):
                 raise ValueError(f"so weight not weakly decreasing: {w}")
             if w[-2] < abs(w[-1]):
                 raise ValueError(f"so weight needs a[n-2] >= |a[n-1]|: {w}")
-        elif self.family == "circle":
-            if self.rank != 1:
+        elif family == "circle":
+            if rank != 1:
                 raise ValueError("circle rank is always 1")
             if len(w) != 1:
                 raise ValueError("circle weight is a single integer")
+        return super().__new__(cls, family, rank, w)
 
     @property
     def is_trivial(self) -> bool:

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -21,6 +23,7 @@ from multfree.cases import (
     torus_dim,
     u_slots,
 )
+from multfree import cases
 from multfree.classify import Verdict, verify_witness
 from multfree.irreps import IrrepLabel, dimension, sp, u
 from multfree.sp_pieri import tensor_sym_sym
@@ -104,6 +107,70 @@ def test_tau_spec_construction():
         tau_spec(spec, bogus=(1,))
     with pytest.raises(ValueError):
         tau_spec(spec, sp=(1, 1, 1))  # too long for sp(2)
+
+
+def test_tau_spec_is_a_validated_tuple():
+    spec = case_spec("I", n=2)
+    tau = tau_spec(spec, su2=(1,), sp=(1,))
+    assert repr(tau) == (
+        "TauSpec(spec=CaseSpec(case_id='I', params=(('n', 2),)), "
+        "labels=(IrrepLabel(family='su', rank=2, weight=(1,)), "
+        "IrrepLabel(family='sp', rank=2, weight=(1,))))"
+    )
+    assert hash(tau) == hash((spec, tau.labels))
+    taus = tau_candidates(spec, 2)
+    assert sorted(reversed(taus)) == sorted(taus, key=lambda t: (t.spec, t.labels))
+    with pytest.raises(AttributeError):
+        tau.labels = ()
+    with pytest.raises(AttributeError):
+        tau.extra = 1
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(tau, proto))
+        assert back == tau and type(back) is TauSpec
+
+
+def test_every_tau_spec_construction_path_validates():
+    spec = case_spec("I", n=2)
+    tau = tau_spec(spec, sp=(1,))
+    wrong = (sp(2, 1), sp(2, 1))  # su2's label has the wrong family
+    bad = [
+        lambda: TauSpec(spec, wrong),
+        lambda: TauSpec(spec, tau.labels[:1]),
+        lambda: TauSpec._make((spec, wrong)),
+        lambda: tau._replace(labels=wrong),
+        lambda: tau._replace(spec=case_spec("I", n=3)),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13
+        bad.append(lambda: copy.replace(tau, labels=wrong))
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+    assert TauSpec._make(tau) == tau._replace(labels=list(tau.labels)) == tau
+
+
+@pytest.mark.parametrize(
+    "spec, weights",
+    [(case_spec("VII", k=2, n=1), {"u": (1, 0)}), (case_spec("III", n=2), {"sp": (1,)})],
+    ids=str,
+)
+def test_product_terms_ask_the_oracle_once_per_slot_label(monkeypatch, spec, weights):
+    # omega entries share u-labels: one scan decomposes each (u-slot, omega
+    # label) pair with tau's label once, whatever the number of entries
+    tau = tau_spec(spec, **weights)
+    entries = omega_entries(spec, 8)  # built (and memoised) before counting
+    want = {(a, b) for oe in entries for a, b in zip(oe.ulabels, tau.ulabels)}
+    asked = Counter()
+    pair = cases.tensor_pair
+
+    def counting(a, b):
+        asked[a, b] += 1
+        return pair(a, b)
+
+    monkeypatch.setattr(cases, "tensor_pair", counting)
+    n_terms = sum(1 for _ in product_terms(spec, tau, 8))
+    assert n_terms > len(entries) > len(want)
+    assert set(asked) == want
+    assert set(asked.values()) == {1}
 
 
 def test_omega_case_i_example():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -39,6 +41,55 @@ def test_label_validation():
     with pytest.raises(ValueError):
         IrrepLabel("bogus", 2, ())
     assert IrrepLabel("sp", 3, (2, 1, 0)).weight == (2, 1)
+
+
+def test_labels_are_validated_tuples():
+    # labels are tuples of their fields: hashed, compared and ordered as the
+    # field tuple, printed as before, immutable, and pickled through the
+    # constructor
+    lab = sp(2, 1, 0)
+    comp = CompositeLabel((1, -2), (lab, u(2, 1, -1)))
+    assert repr(lab) == str(lab) == "IrrepLabel(family='sp', rank=2, weight=(1,))"
+    assert repr(comp) == (
+        "CompositeLabel(torus=(1, -2), ulabels=(IrrepLabel(family='sp', rank=2, weight=(1,)), "
+        "IrrepLabel(family='u', rank=2, weight=(1, -1))))"
+    )
+    assert hash(lab) == hash(("sp", 2, (1,)))
+    assert hash(comp) == hash(((1, -2), (lab, u(2, 1, -1))))
+    labels = [u(2, 1, 0), sp(2, 1), sp(1, 2), circle(3), su(3, 1), so(2, 1, -1), sp(2, 1, 1)]
+    assert sorted(labels) == sorted(labels, key=lambda x: (x.family, x.rank, x.weight))
+    comps = [
+        CompositeLabel((0, 1), (sp(2, 2),)),
+        CompositeLabel((1, 0), (sp(2),)),
+        CompositeLabel((0, 1), (sp(2, 1),)),
+    ]
+    assert sorted(comps) == sorted(comps, key=lambda x: (x.torus, x.ulabels))
+    for obj, attr in ((lab, "weight"), (comp, "torus")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, (2,))
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, proto))
+            assert back == obj and type(back) is type(obj)
+        assert copy.deepcopy(obj) == obj and type(copy.deepcopy(obj)) is type(obj)
+
+
+def test_every_label_construction_path_validates():
+    bad = [
+        lambda: IrrepLabel("u", 2, (0, 1)),
+        lambda: IrrepLabel._make(("u", 2, (0, 1))),
+        lambda: u(2, 1, 0)._replace(weight=(0, 1)),
+        lambda: sp(2, 1)._replace(rank=0),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13
+        bad.append(lambda: copy.replace(u(2, 1, 0), weight=(0, 1)))
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+    # and normalises as the constructor does
+    assert IrrepLabel._make(("sp", 2, [1, 0])) == sp(2)._replace(weight=(1, 0)) == sp(2, 1)
+    assert sp(2)._replace(weight=(1, 0)).weight == (1,)
 
 
 def test_label_json_roundtrip():
