@@ -23,11 +23,13 @@ non-circle intertwiner factors).  The families are:
     VIII  graded products of type-(VI) and type-(VII) blocks
     IX    u(n) on the Heisenberg group: omega = sum_r Sym^r
 
-The layout of the graded products is written once, in ``blocks(spec)``: the
-VI and VII block specs of family VIII, and the two halves of family II, each
-with the keys of its factors in the whole spec.  The II and VIII factors,
-their whole series (one graded product of the block series) and the
-classifier's split of tau are all derived from it.  The route parameters of
+The block layout is written once, in ``blocks(spec)``: the VI and VII
+block specs of family VIII, the two halves of family II, and any other spec
+as its own single block.  ``factors`` places every spec's factors block by
+block, so each block owns a contiguous run of torus coordinates and of
+u-slots.  The split of tau and of labels per block, the whole II and VIII
+series (one graded product of the block series) and route recovery (one
+walk per block series, joined) all derive from it.  The route parameters of
 a II term are its halves' (l, r), read as (l1, r) and (l2, s).
 
 Degree truncation bounds the sum of the grading parameters of omega (the
@@ -42,9 +44,9 @@ circle direction with the determinant direction of u(n), which both misses
 genuine collisions (the su-weight constructions of the source families) and
 invents spurious ones.
 
-All builders are pure; factor layouts are cached per case, and omega entry
-lists per (case, degree bound).  Block layouts are not: every caller of
-``blocks`` is cached itself, per case or per (case, degree bound).
+All builders are pure; factor layouts and block positions are cached per
+case, and omega entry lists per (case, degree bound).  Block layouts are
+not: their readers are cached themselves or run once per witness.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .irreps import (
     IrrepLabel,
     OracleError,
     ValidatedTuple,
+    json_int,
     render_label,
     tensor_pair,
     trivial,
@@ -142,82 +145,98 @@ class Factor(NamedTuple):
     pos: int  # torus offset or u-slot index
 
 
-@lru_cache(maxsize=None)
-def factors(spec: CaseSpec) -> tuple[Factor, ...]:
-    """Factors of K in canonical order, with their torus/u-slot placement."""
-    cid = spec.case_id
-    if cid == "I":
-        return (
-            Factor("su2", "su", 2, "torus", 0),
-            Factor("sp", "sp", spec["n"], "uslot", 0),
-        )
-    if cid == "IIh":
-        su2 = Factor("su2", "su", 2, "torus", 0)
-        return (su2, Factor("sp", "sp", spec["k"], "uslot", 0)) if spec["k"] else (su2,)
-    if cid == "III":
-        return (
-            Factor("sp2", "sp", 2, "torus", 0),
-            Factor("sp", "sp", spec["n"], "uslot", 0),
-        )
-    if cid == "IV":
-        return (Factor("so", "so", spec["n"], "torus", 0),)
-    if cid in ("V", "VI"):
-        n = spec["n"]
-        return (
-            Factor("su", "su", n, "torus", 0),
-            Factor("s1", "circle", 1, "torus", n - 1),
-        )
-    if cid == "VII":
-        out = [Factor("su2", "su", 2, "torus", 0), Factor("u", "u", spec["k"], "uslot", 0)]
-        if spec["n"] > 0:
-            out.append(Factor("sp", "sp", spec["n"], "uslot", 1))
-        return tuple(out)
-    if cid == "IX":
-        return (Factor("u", "u", spec["n"], "uslot", 0),)
-    # II and VIII: block factors under their keys in spec, moved past the
-    # torus and u-slots of earlier blocks; su, then circles, then u-slots, in
-    # block order
-    out, off, slot = [], 0, 0
-    for block, keys in blocks(spec):
-        for f, key in zip(factors(block), keys):
-            out.append(f._replace(key=key, pos=f.pos + (off if f.kind == "torus" else slot)))
-        off += torus_dim(block)
-        slot += len(u_slots(block))
-    out.sort(key=lambda f: (f.kind == "uslot", f.family == "circle"))
-    return tuple(out)
+# The factors of each single-block kind in block order, as (key, family,
+# rank, kind): a rank given as a string is the spec parameter of that name,
+# and a factor of rank 0 is left out (a half of family II with k = 0, a
+# family VII spec with n = 0).
+_BLOCK_FACTORS = {
+    "I": (("su2", "su", 2, "torus"), ("sp", "sp", "n", "uslot")),
+    "IIh": (("su2", "su", 2, "torus"), ("sp", "sp", "k", "uslot")),
+    "III": (("sp2", "sp", 2, "torus"), ("sp", "sp", "n", "uslot")),
+    "IV": (("so", "so", "n", "torus"),),
+    "V": (("su", "su", "n", "torus"), ("s1", "circle", 1, "torus")),
+    "VI": (("su", "su", "n", "torus"), ("s1", "circle", 1, "torus")),
+    "VII": (("su2", "su", 2, "torus"), ("u", "u", "k", "uslot"), ("sp", "sp", "n", "uslot")),
+    "IX": (("u", "u", "n", "uslot"),),
+}
+
+
+def _block_factors(block: CaseSpec) -> list[tuple[str, str, int, str]]:
+    """The (key, family, rank, kind) of each factor of a block, in block order."""
+    ranks = dict(block.params)
+    found = [(k, fam, ranks.get(r, r), kind) for k, fam, r, kind in _BLOCK_FACTORS[block.case_id]]
+    return [f for f in found if f[2]]
 
 
 def blocks(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[str, ...]], ...]:
     """The blocks of a spec in block order, each with the keys its factors
-    have in ``spec``.  A family VIII spec has ``VI(n=m_i)`` with (su.i, s1.i),
-    then ``VII(k=k_j, n=n_j)`` with (su2.j, u.j[, sp.j]).  A family II spec
-    has two halves, su(2) x sp(k1) with (su2a[, spa]) and su(2) x sp(k2) with
-    (su2b[, spb]), each a private block kind ``IIh(k)`` that ``case_spec``
+    have in ``spec``: a block's own keys with the block's tag appended.  A
+    family VIII spec has ``VI(n=m_i)`` tagged ``.i`` (su.i, s1.i), then
+    ``VII(k=k_j, n=n_j)`` tagged ``.j`` (su2.j, u.j[, sp.j]).  A family II
+    spec has two halves, su(2) x sp(k1) tagged ``a`` and su(2) x sp(k2)
+    tagged ``b``, each a private block kind ``IIh(k)`` that ``case_spec``
     rejects; a half with k = 0 has no sp factor.  A spec of any other family
-    is its own single block."""
+    is its own single block, untagged."""
     if spec.case_id == "II":
-        return tuple(
-            (CaseSpec("IIh", (("k", k),)), (f"su2{h}", f"sp{h}") if k else (f"su2{h}",))
-            for h, k in (("a", spec["k1"]), ("b", spec["k2"]))
-        )
-    if spec.case_id != "VIII":
-        return ((spec, tuple(f.key for f in factors(spec))),)
-    vi = [case_spec("VI", n=m) for m in spec["m"]]
-    vii = [case_spec("VII", k=k, n=n) for k, n in spec["kn"]]
-    return tuple(
-        (block, tuple(f"{f.key}.{i}" for f in factors(block)))
-        for group in (vi, vii)
-        for i, block in enumerate(group, start=1)
-    )
+        tagged = [(CaseSpec("IIh", (("k", spec[k]),)), h) for h, k in (("a", "k1"), ("b", "k2"))]
+    elif spec.case_id == "VIII":
+        tagged = [(case_spec("VI", n=m), f".{i}") for i, m in enumerate(spec["m"], start=1)]
+        tagged += [(case_spec("VII", k=k, n=n), f".{j}") for j, (k, n) in enumerate(spec["kn"], start=1)]
+    else:
+        tagged = [(spec, "")]
+    return tuple((b, tuple(f[0] + tag for f in _block_factors(b))) for b, tag in tagged)
+
+
+@lru_cache(maxsize=None)
+def factors(spec: CaseSpec) -> tuple[Factor, ...]:
+    """Factors of K in canonical order, with their torus/u-slot placement:
+    each block's factors (``blocks``) take the next torus coordinates and
+    u-slots, then su factors come first, circles next and u-slots last, each
+    in block order."""
+    out, next_pos = [], {"torus": 0, "uslot": 0}
+    for block, keys in blocks(spec):
+        for key, (_, family, rank, kind) in zip(keys, _block_factors(block)):
+            out.append(Factor(key, family, rank, kind, next_pos[kind]))
+            next_pos[kind] += rank - (family == "su") if kind == "torus" else 1
+    return tuple(sorted(out, key=lambda f: (f.kind == "uslot", f.family == "circle")))
+
+
+@lru_cache(maxsize=None)
+def _block_positions(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[int, ...]], ...]:
+    """The blocks of a spec (``blocks``), each with the positions of its
+    factors in ``factors(spec)``."""
+    index = {f.key: i for i, f in enumerate(factors(spec))}
+    return tuple((b, tuple(index[key] for key in keys)) for b, keys in blocks(spec))
+
+
+def block_pieces(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:
+    """The blocks of a spec (``blocks``), each with its piece of tau.  A
+    spec that is its own single block gets tau itself as its piece."""
+    positions = _block_positions(spec)
+    if positions[0][0] == spec:
+        return [(spec, tau)]
+    return [(b, TauSpec(b, tuple(tau.labels[i] for i in pos))) for b, pos in positions]
+
+
+def cut_label(spec: CaseSpec, label: CompositeLabel) -> list[CompositeLabel]:
+    """One label per block of a spec, in block order: each block's run of
+    torus coordinates and of u-slots.  ``join_labels`` undoes the cut."""
+    out, t, u = [], 0, 0
+    for b, _ in _block_positions(spec):
+        dt, du = torus_dim(b), sum(f.kind == "uslot" for f in factors(b))
+        out.append(CompositeLabel(label.torus[t : t + dt], label.ulabels[u : u + du]))
+        t, u = t + dt, u + du
+    return out
+
+
+def join_labels(labels: list[CompositeLabel]) -> CompositeLabel:
+    """The composite label of one label per block, in block order."""
+    return CompositeLabel(sum((x.torus for x in labels), ()), sum((x.ulabels for x in labels), ()))
 
 
 def torus_dim(spec: CaseSpec) -> int:
     """Torus coordinates of K: rank - 1 per su factor, the rank otherwise."""
     return sum(f.rank - (f.family == "su") for f in factors(spec) if f.kind == "torus")
-
-
-def u_slots(spec: CaseSpec) -> tuple[tuple[str, int], ...]:
-    return tuple((f.family, f.rank) for f in factors(spec) if f.kind == "uslot")
 
 
 class _TauFields(NamedTuple):
@@ -311,7 +330,7 @@ class CompositeLabel(NamedTuple):
     @classmethod
     def from_json(cls, data: dict) -> "CompositeLabel":
         return cls(
-            tuple(int(x) for x in data["torus"]),
+            tuple(map(json_int, data["torus"])),
             tuple(IrrepLabel.from_json(d) for d in data["u"]),
         )
 
@@ -371,14 +390,38 @@ def _row_product(a: IrrepLabel, b: IrrepLabel) -> list[IrrepLabel]:
     return list(out)
 
 
+def _graded_product(series: list, degree: int) -> list[tuple[int, tuple]]:
+    """Every choice of one item from each list of ``series``, as (degree,
+    items in series order), whose degrees (each item's first field) add up
+    to at most ``degree``."""
+    acc = [(0, ())]
+    for items in series:
+        acc = [(d + it[0], picked + (it,)) for d, picked in acc for it in items if d + it[0] <= degree]
+    return acc
+
+
+def _joined_params(spec: CaseSpec, parts: tuple) -> tuple[tuple[str, object], ...]:
+    """The params of a term of ``spec`` from those of its block terms, for
+    the whole series and for joined routes: a VIII term tags each block's
+    params with the block's first key, and a II term takes half a's (l, r)
+    as (l1, r) and half b's as (l2, s)."""
+    if spec.case_id == "II":
+        ((_, l1), (_, r)), ((_, l2), (_, s)) = parts
+        return (("l1", l1), ("l2", l2), ("r", r), ("s", s))
+    if spec.case_id != "VIII":  # its own single block
+        return parts[0]
+    tags = [(("block", keys[0]),) for _, keys in blocks(spec)]
+    return (("blocks", tuple(tag + p for tag, p in zip(tags, parts))),)
+
+
 @lru_cache(maxsize=128)
 def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
     """All terms of the metaplectic series with grading degree <= ``degree``.
     Each one-row label is built once, in a table indexed by row length.  The
     II and VIII series are the graded product of their block series
-    (``blocks``): a VIII term tags each block's parameters with the block's
-    first key, and a II term takes half a's (l, r) as (l1, r) and half b's as
-    (l2, s)."""
+    (``blocks``), their terms named by ``_joined_params``.  Only
+    ``verify_witness`` and the tests build them: the classifier scans the
+    blocks and recovers routes from them."""
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
     cid = spec.case_id
@@ -432,22 +475,9 @@ def omega_entries(spec: CaseSpec, degree: int) -> tuple[OmegaEntry, ...]:
         for r in range(degree + 1):
             out.append(OmegaEntry(r, (), (rows[r],), (("r", r),)))
     else:  # II and VIII: the graded product of the block series (``blocks``)
-        acc = [(0, (), (), ())]
-        for block, keys in blocks(spec):
-            tag = ("block", keys[0])
-            acc = [
-                (d + e.degree, t + e.torus, u + e.ulabels, p + ((tag,) + e.params,))
-                for d, t, u, p in acc
-                for e in omega_entries(block, degree)
-                if d + e.degree <= degree
-            ]
-        for d, t, u, p in acc:
-            if cid == "II":  # half a's (l, r) is (l1, r), half b's is (l2, s)
-                (_, (_, l1), (_, r)), (_, (_, l2), (_, s)) = p
-                params = (("l1", l1), ("l2", l2), ("r", r), ("s", s))
-            else:
-                params = (("blocks", p),)
-            out.append(OmegaEntry(d, t, u, params))
+        for d, picked in _graded_product([omega_entries(b, degree) for b, _ in blocks(spec)], degree):
+            _, torus, ulabels, params = zip(*picked)
+            out.append(OmegaEntry(d, sum(torus, ()), sum(ulabels, ()), _joined_params(spec, params)))
     out.sort()
     return tuple(out)
 
@@ -516,25 +546,19 @@ def product_terms(
                 yield oe, te, CompositeLabel(t, ulabels), te.mult * mult
 
 
-def production_routes(
-    spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel
-) -> list[dict]:
-    """
-    All (omega term, tau term) productions of ``target``, with multiplicities.
-    Each tau entry is keyed by its partner torus vector, ``target``'s minus
-    its own; tau entries have distinct torus vectors (each torus factor owns
-    its coordinates, and a weight system folds multiplicities), so each omega
-    entry meets at most one partner, found by one lookup in one walk of the
-    series.  Every tau entry has tau's own u-slot labels.  A target of the
-    wrong shape for ``spec`` has no route.
-    """
+def _partner_walk(spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel) -> list[tuple]:
+    """The productions of ``target`` in one block series, as (degree, omega
+    params, tau weights, multiplicity).  Each tau entry is keyed by its
+    partner torus vector, ``target``'s minus its own; tau entries have
+    distinct torus vectors (each torus factor owns its coordinates, and a
+    weight system folds multiplicities), so each omega entry meets at most
+    one partner, found by one lookup in one walk of the series.  Every tau
+    entry has tau's own u-slot labels."""
     tau_ulabels = tau.ulabels
-    if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(tau_ulabels):
-        return []
     partners = {
         tuple(a - b for a, b in zip(target.torus, te.torus)): te for te in tau_entries(spec, tau)
     }
-    routes = []
+    out = []
     for oe in omega_entries(spec, degree):
         te = partners.get(oe.torus)
         if te is None:
@@ -543,9 +567,37 @@ def production_routes(
         for a, b, want in zip(oe.ulabels, tau_ulabels, target.ulabels):
             mult *= tensor_pair(a, b).get(want, 0)
         if mult:
-            routes.append(
-                {"degree": oe.degree, "omega": dict(oe.params), "tau": dict(te.weights), "mult": mult}
-            )
+            out.append((oe.degree, oe.params, te.weights, mult))
+    return out
+
+
+def production_routes(
+    spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel
+) -> list[dict]:
+    """
+    All (omega term, tau term) productions of ``target``, with
+    multiplicities, from the block series alone: ``target`` is cut per
+    block, and each block series meets its piece of tau in one partner walk.
+    A production of the whole series is one per block with degrees adding
+    up to at most ``degree``; the blocks own disjoint torus coordinates and
+    u-slots, so tau weights join and multiplicities multiply.  Params are
+    named as in the whole series, tau weights keyed and ordered by
+    ``factors(spec)``.  A target of the wrong shape for ``spec`` has no route.
+    """
+    if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(tau.ulabels):
+        return []
+    found = [
+        _partner_walk(b, piece, degree, lab)
+        for (b, piece), lab in zip(block_pieces(spec, tau), cut_label(spec, target))
+    ]
+    keys = [key for _, block_keys in blocks(spec) for key in block_keys]
+    routes = []
+    for d, picked in _graded_product(found, degree):
+        _, params, weights, mults = zip(*picked)
+        named = dict(zip(keys, (w for block_weights in weights for _, w in block_weights)))
+        omega = _joined_params(spec, params)
+        tau_weights = {f.key: named[f.key] for f in factors(spec)}
+        routes.append({"degree": d, "omega": dict(omega), "tau": tau_weights, "mult": math.prod(mults)})
     return routes
 
 

@@ -13,9 +13,11 @@ A family VIII series is the graded product of its type-(VI) and type-(VII)
 blocks, and a family II series that of its two spin(4) halves, on disjoint
 torus coordinates and u-slots, and tau splits the same way; a spec of any
 other family is its own single block.  Every spec is decided, and its
-witness found, from the scans of its blocks (see ``classify``); the full
-product series is only walked for the witness's multiplicity and routes,
-on their first read (see ``Verdict``), so a sweep never walks it.
+witness found, from the scans of its blocks (see ``classify``).  The
+witness's multiplicity and routes are joined from walks of the block series
+too (``cases.production_routes``), on their first read (see ``Verdict``),
+so a sweep never recovers them and no reader walks the whole product
+series; only ``verify_witness`` does, as the independent check.
 Block scans are memoised on (block spec, tau piece, degree), since a sweep
 meets the same block with the same tau piece in many rows; a scan's result
 is immutable, so a shared entry cannot be changed by a caller.  Tau's
@@ -41,9 +43,10 @@ from .cases import (
     CaseSpec,
     CompositeLabel,
     TauSpec,
-    blocks,
+    block_pieces,
     case_spec,
     factors,
+    join_labels,
     product_terms,
     production_routes,
     tau_candidates,
@@ -196,30 +199,6 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[tuple, int | None,
     return tuple(found), witness_degree, least0
 
 
-@lru_cache(maxsize=None)
-def _block_positions(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[int, ...]], ...]:
-    """The blocks of a spec (``cases.blocks``), each with the positions of
-    its factors in ``factors(spec)``."""
-    index = {f.key: i for i, f in enumerate(factors(spec))}
-    return tuple((b, tuple(index[key] for key in keys)) for b, keys in blocks(spec))
-
-
-def _blocks(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:
-    """The blocks of a spec (``cases.blocks``), each with its piece of tau.
-    A spec that is its own single block gets tau itself as its piece."""
-    positions = _block_positions(spec)
-    if positions[0][0] == spec:
-        return [(spec, tau)]
-    return [(b, TauSpec(b, tuple(tau.labels[i] for i in pos))) for b, pos in positions]
-
-
-def _join(labels: list[CompositeLabel]) -> CompositeLabel:
-    """The composite label of one label per block, in block order."""
-    return CompositeLabel(
-        sum((lab.torus for lab in labels), ()), sum((lab.ulabels for lab in labels), ())
-    )
-
-
 def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict:
     """
     Scan omega (x) tau up to the truncation degree and return either the
@@ -249,21 +228,23 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
       factor.  The witness is the least of these joins over the blocks i.
 
     The witness's ``multiplicity`` and ``routes`` count every production of
-    the whole series up to the truncation degree.  One recovery fills both on
-    the first read of either, so a caller that reads only the verdict, the
-    witness and its degree (``cross_check``, ``sweep``) never recovers them.
+    the whole series up to the truncation degree D.  They are joined from
+    walks of the block series, by the formula above at e = D
+    (``cases.production_routes``).  One recovery fills both on the first
+    read of either, so a caller that reads only the verdict, the witness
+    and its degree (``cross_check``, ``sweep``) never recovers them.
     """
     free, shift = _split_characters(spec, tau)
     if degree is None:
         degree = deg_window(spec, free)
-    scans = [_scan(b, t, degree) for b, t in _blocks(spec, free)]
+    scans = [_scan(b, t, degree) for b, t in block_pieces(spec, free)]
     witness_degree = min((d for _, d, _ in scans if d is not None), default=None)
     if witness_degree is None:
         return Verdict(False, degree)
     least0 = [z for _, _, z in scans]
     witness = shift(
         min(
-            _join(least0[:i] + [min(found)] + least0[i + 1 :])
+            join_labels(least0[:i] + [min(found)] + least0[i + 1 :])
             for i, (found, d, _) in enumerate(scans)
             if d == witness_degree
         )
@@ -282,8 +263,8 @@ def _recover(spec: CaseSpec, tau: TauSpec, degree: int, witness: CompositeLabel)
 
 def verify_witness(spec: CaseSpec, tau: TauSpec, verdict: Verdict) -> bool:
     """Rebuild every production route of the witness from the whole product
-    series (``product_terms``, independent of the targeted pairing of
-    ``production_routes``), and confirm they reproduce the recorded
+    series (``product_terms``, independent of the block walks and the join
+    of ``production_routes``), and confirm they reproduce the recorded
     routes and multiplicity."""
     if not verdict.multiplicity_found:
         return True

@@ -60,6 +60,14 @@ class ValidatedTuple:
         return type(self), tuple(self)
 
 
+def json_int(x) -> int:
+    """An integer read back from JSON.  A float, a string or a bool (which
+    ``int`` would truncate or convert) raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 class _IrrepFields(NamedTuple):
     family: str
     rank: int
@@ -126,7 +134,8 @@ class IrrepLabel(ValidatedTuple, _IrrepFields):
 
     @classmethod
     def from_json(cls, data: dict) -> "IrrepLabel":
-        return cls(str(data["family"]).lower(), int(data["rank"]), tuple(data["weight"]))
+        weight = tuple(map(json_int, data["weight"]))
+        return cls(str(data["family"]).lower(), json_int(data["rank"]), weight)
 
 
 def trivial(family: str, rank: int) -> IrrepLabel:
@@ -206,7 +215,7 @@ class FormalSum:
             raise ValueError(f"not an exact decomposition: truncation {trunc!r}")
         entries = {}
         for row in data["entries"]:
-            entries[IrrepLabel.from_json(row["label"])] = int(row["mult"])
+            entries[IrrepLabel.from_json(row["label"])] = json_int(row["mult"])
         return cls(entries)
 
     def __repr__(self) -> str:

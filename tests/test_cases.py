@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multfree.cases import (
+    CaseSpec,
     CompositeLabel,
     Factor,
     TauSpec,
@@ -21,7 +22,6 @@ from multfree.cases import (
     tau_entries,
     tau_spec,
     torus_dim,
-    u_slots,
 )
 from multfree import cases
 from multfree.classify import Verdict, verify_witness
@@ -74,7 +74,6 @@ def test_factor_layout():
     keys = [f.key for f in factors(spec)]
     assert keys == ["su.1", "su2.1", "s1.1", "u.1", "sp.1"]
     assert torus_dim(spec) == 4  # 2 su-torus + 1 circle + 1 su2-torus
-    assert u_slots(spec) == (("u", 2), ("sp", 1))
     spec2 = case_spec("II", k1=0, k2=2)
     assert [f.key for f in factors(spec2)] == ["su2a", "su2b", "spb"]
     # two blocks of each type: torus offsets run over the su(3) block
@@ -93,7 +92,30 @@ def test_factor_layout():
         Factor("u.2", "u", 1, "uslot", 2),
     )
     assert torus_dim(spec3) == 9
-    assert u_slots(spec3) == (("u", 2), ("sp", 1), ("u", 1))
+
+
+def test_single_block_factor_layouts():
+    # every single-block kind, as (key, family, rank, kind, pos): torus
+    # offsets and u-slot indices count from 0 in factor order, and a factor
+    # of rank 0 (a II half with k = 0, VII with n = 0) is left out
+    layouts = {
+        case_spec("I", n=2): [("su2", "su", 2, "torus", 0), ("sp", "sp", 2, "uslot", 0)],
+        CaseSpec("IIh", (("k", 0),)): [("su2", "su", 2, "torus", 0)],
+        CaseSpec("IIh", (("k", 1),)): [("su2", "su", 2, "torus", 0), ("sp", "sp", 1, "uslot", 0)],
+        case_spec("III", n=2): [("sp2", "sp", 2, "torus", 0), ("sp", "sp", 2, "uslot", 0)],
+        case_spec("IV", n=3): [("so", "so", 3, "torus", 0)],
+        case_spec("V", n=3): [("su", "su", 3, "torus", 0), ("s1", "circle", 1, "torus", 2)],
+        case_spec("VI", n=4): [("su", "su", 4, "torus", 0), ("s1", "circle", 1, "torus", 3)],
+        case_spec("VII", k=2, n=0): [("su2", "su", 2, "torus", 0), ("u", "u", 2, "uslot", 0)],
+        case_spec("VII", k=2, n=1): [
+            ("su2", "su", 2, "torus", 0),
+            ("u", "u", 2, "uslot", 0),
+            ("sp", "sp", 1, "uslot", 1),
+        ],
+        case_spec("IX", n=2): [("u", "u", 2, "uslot", 0)],
+    }
+    for spec, want in layouts.items():
+        assert [tuple(f) for f in factors(spec)] == want, str(spec)
 
 
 def test_tau_spec_construction():
@@ -418,6 +440,25 @@ def test_tau_candidates_graded_order():
 def test_composite_label_json_roundtrip():
     lab = CompositeLabel((1, -2), (sp(2, 1), u(2, 1, -1)))
     assert CompositeLabel.from_json(lab.to_json()) == lab
+
+
+def test_composite_label_json_reads_integers_only():
+    # int() would read this back as (χ(1,2); η(1,1))
+    with pytest.raises(ValueError):
+        CompositeLabel.from_json(
+            {"torus": [1.9, "2"], "u": [{"family": "SP", "rank": 2.7, "weight": [1.5, True]}]}
+        )
+    good = {"torus": [1, 2], "u": [{"family": "sp", "rank": 2, "weight": [1, 1]}]}
+    assert CompositeLabel.from_json(good) == CompositeLabel((1, 2), (sp(2, 1, 1),))
+    (ulab,) = good["u"]
+    for bad in (2.0, 1.5, "2", True, False, None):
+        for data in (
+            {**good, "torus": [1, bad]},
+            {**good, "u": [{**ulab, "rank": bad}]},
+            {**good, "u": [{**ulab, "weight": [1, bad]}]},
+        ):
+            with pytest.raises(ValueError):
+                CompositeLabel.from_json(data)
 
 
 def _fock_dimension(spec):

@@ -14,15 +14,19 @@ import multfree.classify as classify_mod
 from multfree.cases import (
     CompositeLabel,
     TauSpec,
+    block_pieces,
     blocks,
     case_spec,
+    cut_label,
     factor_weights,
     factors,
+    join_labels,
     omega_entries,
     product_terms,
     tau_candidates,
     tau_entries,
     tau_spec,
+    torus_dim,
 )
 from multfree.classify import (
     CONSISTENT,
@@ -141,7 +145,7 @@ def test_classify_stops_after_the_witness_degree(monkeypatch, cold_scans, spec, 
     # the block holding the witness: the one with a nontrivial tau piece (a
     # trivial piece leaves its block multiplicity-free); a spec outside
     # families II and VIII is its own single block
-    (holder,) = [b for b, t in classify_mod._blocks(spec, tau) if not t.is_trivial]
+    (holder,) = [b for b, t in block_pieces(spec, tau) if not t.is_trivial]
     drawn = {}
 
     def recording(scanned, *args, **kwargs):
@@ -153,7 +157,7 @@ def test_classify_stops_after_the_witness_degree(monkeypatch, cold_scans, spec, 
     v = classify(spec, tau, 6)
     assert v.multiplicity_found
     # only the blocks are scanned: a multi-block VIII spec never is
-    assert set(drawn) == {b for b, _ in classify_mod._blocks(spec, tau)}
+    assert set(drawn) == {b for b, _ in block_pieces(spec, tau)}
     assert holder in drawn
     later = [oe for oe in omega_entries(holder, 6) if oe.degree > v.witness_degree]
     assert len(later) > 1
@@ -196,7 +200,7 @@ def test_viii_block_decision_matches_full_series():
             for _, _, lab, mult in product_terms(spec, tau, 6):
                 full[lab] += mult
             assert v.multiplicity_found == (max(full.values()) > 1), (str(spec), str(tau))
-            scans = [classify_mod._scan(b, t, 6)[1] for b, t in classify_mod._blocks(spec, tau)]
+            scans = [classify_mod._scan(b, t, 6)[1] for b, t in block_pieces(spec, tau)]
             block_degree = min((d for d in scans if d is not None), default=None)
             assert v.witness_degree == block_degree, (str(spec), str(tau))
     assert rows == 180
@@ -213,7 +217,71 @@ def test_block_pieces_match_the_factor_keys():
     for spec in specs:
         for tau in tau_candidates(spec, 1):
             want = [(b, TauSpec(b, tuple(tau.label(key) for key in keys))) for b, keys in blocks(spec)]
-            assert classify_mod._blocks(spec, tau) == want, (str(spec), str(tau))
+            assert block_pieces(spec, tau) == want, (str(spec), str(tau))
+
+
+def _block_runs(spec):
+    # the torus coordinates and u-slots of each block, in block order, read
+    # off the factor placement: a torus factor covers rank - 1 coordinates
+    # (su) or its rank from its offset, a u-slot factor its one slot
+    where = {f.key: f for f in factors(spec)}
+    runs = []
+    for _, keys in blocks(spec):
+        coords, slots = [], []
+        for key in keys:
+            f = where[key]
+            if f.kind == "torus":
+                coords += range(f.pos, f.pos + f.rank - (f.family == "su"))
+            else:
+                slots.append(f.pos)
+        runs.append((sorted(coords), sorted(slots)))
+    return runs
+
+
+def test_blocks_tile_the_torus_and_u_slots():
+    # the layout that the block scans, the tau split and route recovery rely
+    # on: the blocks' torus coordinates tile range(torus_dim) and their
+    # u-slots tile the slot range, each block owning one contiguous run of
+    # each, in block order; cutting a label at those runs and joining the
+    # pieces gives the label back
+    specs = default_grid() + list(BEYOND_GRID_SPECS) + list(BLOCK_SPECS + II_SPECS)
+    specs += [case_spec("VIII", m=(3, 4), kn=((2, 1), (1, 0)))]
+    for spec in specs:
+        runs = _block_runs(spec)
+        coords = [c for run, _ in runs for c in run]
+        slots = [s for _, run in runs for s in run]
+        n_slots = sum(f.kind == "uslot" for f in factors(spec))
+        assert coords == list(range(torus_dim(spec))), str(spec)
+        assert slots == list(range(n_slots)), str(spec)
+        # a label with a distinct value on every coordinate and u-slot
+        label = CompositeLabel(
+            tuple(range(10, 10 + len(coords))), tuple(u(1, i) for i in range(n_slots))
+        )
+        pieces = [
+            CompositeLabel(tuple(label.torus[c] for c in run), tuple(label.ulabels[s] for s in srun))
+            for run, srun in runs
+        ]
+        assert CompositeLabel(
+            sum((p.torus for p in pieces), ()), sum((p.ulabels for p in pieces), ())
+        ) == label, str(spec)
+
+
+def test_cut_label_cuts_at_the_block_runs():
+    # cases.cut_label is the cut of test_blocks_tile_the_torus_and_u_slots,
+    # and join_labels undoes it
+    specs = default_grid() + list(BEYOND_GRID_SPECS) + list(BLOCK_SPECS + II_SPECS)
+    for spec in specs:
+        runs = _block_runs(spec)
+        n_slots = sum(f.kind == "uslot" for f in factors(spec))
+        label = CompositeLabel(
+            tuple(range(10, 10 + torus_dim(spec))), tuple(u(1, i) for i in range(n_slots))
+        )
+        pieces = cut_label(spec, label)
+        assert [(p.torus, p.ulabels) for p in pieces] == [
+            (tuple(label.torus[c] for c in run), tuple(label.ulabels[s] for s in srun))
+            for run, srun in runs
+        ], str(spec)
+        assert join_labels(pieces) == label, str(spec)
 
 
 def test_tau_ulabels_are_the_uslot_labels_in_slot_order():
@@ -302,7 +370,7 @@ def test_viii_series_is_the_graded_product_of_its_blocks(spec):
         omega = Counter((oe.degree, oe.torus, oe.ulabels) for oe in omega_entries(spec, degree))
         blocks = [
             Counter((oe.degree, oe.torus, oe.ulabels) for oe in omega_entries(b, degree))
-            for b, _ in classify_mod._blocks(spec, tau_spec(spec))
+            for b, _ in block_pieces(spec, tau_spec(spec))
         ]
         assert omega == _graded_product(blocks, degree)
     for tau in tau_candidates(spec, 1):
@@ -310,7 +378,7 @@ def test_viii_series_is_the_graded_product_of_its_blocks(spec):
         for te in tau_entries(spec, tau):
             whole[(0, te.torus, tau.ulabels)] += te.mult
         pieces = []
-        for b, t in classify_mod._blocks(spec, tau):
+        for b, t in block_pieces(spec, tau):
             piece = Counter()
             for te in tau_entries(b, t):
                 piece[(0, te.torus, t.ulabels)] += te.mult
@@ -453,7 +521,7 @@ def test_scan_draws_one_series_per_tau_modulo_characters(monkeypatch, cold_scans
 
     monkeypatch.setattr(classify_mod, "product_terms", recording)
     v1, v2 = classify(spec, first, 6), classify(spec, second, 6)
-    assert drawn == Counter(b for b, _ in classify_mod._blocks(spec, first))
+    assert drawn == Counter(b for b, _ in block_pieces(spec, first))
     # only character-free pieces are scanned: s1 of the VI block stays trivial
     assert all(p.label("s1").is_trivial for p in pieces if p.spec.case_id == "VI")
     assert v1.multiplicity_found and v2.multiplicity_found
@@ -810,6 +878,47 @@ def test_sweep_recovers_no_routes(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "spec, weights, degree",
+    [
+        # the frontier row: four blocks, and tau weights on three of them
+        (
+            case_spec("VIII", m=(3, 4), kn=((2, 1), (1, 0))),
+            {"s1.1": 2, "u.1": (1, 0), "sp.1": (1,)},
+            6,
+        ),
+        (case_spec("II", k1=2, k2=1), {"su2a": (1,), "spa": (1, 0), "su2b": (1,)}, 6),
+    ],
+    ids=str,
+)
+def test_multi_block_routes_read_only_block_series(monkeypatch, spec, weights, degree):
+    # reading a II or VIII witness's routes and multiplicity builds no term
+    # of the whole series: every omega series and product series drawn is a
+    # block's
+    tau = tau_spec(spec, **weights)
+    v = classify(spec, tau, degree)
+    assert v.multiplicity_found
+    drawn = Counter()
+
+    def counting(name, real):
+        def wrapper(s, *args, **kwargs):
+            drawn[name, s] += 1
+            return real(s, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cases_mod, "omega_entries", counting("omega", cases_mod.omega_entries))
+    for mod in (cases_mod, classify_mod):
+        monkeypatch.setattr(mod, "product_terms", counting("product", product_terms))
+    routes, mult = v.routes, v.multiplicity
+    assert mult >= 2 and routes
+    blocks_of = {b for b, _ in blocks(spec)}
+    assert {s for _, s in drawn} == blocks_of, drawn
+    monkeypatch.undo()
+    # the whole series, walked by verify_witness, agrees with the join
+    assert verify_witness(spec, tau, v)
+
+
 def test_witness_routes_are_recovered_once_on_first_read(monkeypatch):
     calls = _count_routes(monkeypatch)
     spec = case_spec("I", n=2)
@@ -869,7 +978,9 @@ def test_unread_witness_verdicts_pickle(monkeypatch):
 
 def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
     # cases.blocks is not memoised: its callers are, per spec or per (spec,
-    # degree), so a sweep reads each spec's layout a few times, never per row
+    # degree), so a sweep reads each spec's layout a few times, never per row;
+    # the layouts read are the swept specs' and, through the factors of each
+    # block's piece of tau, their blocks'
     calls = Counter()
     real = cases_mod.blocks
 
@@ -878,12 +989,12 @@ def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(cases_mod, "blocks", counted)
-    monkeypatch.setattr(classify_mod, "blocks", counted)
-    for memo in (factors, omega_entries, classify_mod._block_positions, classify_mod._scan):
+    for memo in (factors, omega_entries, cases_mod._block_positions, classify_mod._scan):
         memo.cache_clear()
     rows = [row for spec in CHARACTER_SPECS for row in sweep(spec, 2, 6)]
     assert len(rows) == 1151
-    assert set(calls) == set(CHARACTER_SPECS) and max(calls.values()) <= 3
+    swept = {b for spec in CHARACTER_SPECS for b, _ in real(spec)} | set(CHARACTER_SPECS)
+    assert set(calls) == swept and max(calls.values()) <= 3
 
 
 def test_vii_u_condition_derivation():

@@ -97,6 +97,37 @@ def test_label_json_roundtrip():
         assert IrrepLabel.from_json(lab.to_json()) == lab
 
 
+# values that int() would truncate or convert: read back, they raise
+NOT_JSON_INTS = (2.0, 2.7, "2", True, False, None)
+
+
+def test_label_json_reads_integers_only():
+    good = {"family": "sp", "rank": 2, "weight": [1, 1]}
+    assert IrrepLabel.from_json(good) == sp(2, 1, 1)
+    for bad in NOT_JSON_INTS:
+        for data in ({**good, "rank": bad}, {**good, "weight": [1, bad]}, {**good, "weight": [bad]}):
+            with pytest.raises(ValueError):
+                IrrepLabel.from_json(data)
+    # a weight must be a list of integers, not a string of digits
+    with pytest.raises(ValueError):
+        IrrepLabel.from_json({**good, "weight": "11"})
+
+
+def test_formal_sum_json_reads_integer_multiplicities_only():
+    out = decompose_product([sp(2, 1), sp(2, 1)])
+    data = out.to_json()
+    assert FormalSum.from_json(data) == out
+    for bad in NOT_JSON_INTS:
+        entries = [dict(row, mult=bad) for row in data["entries"]]
+        with pytest.raises(ValueError):
+            FormalSum.from_json({**data, "entries": entries})
+    # a label inside an entry is read the same way
+    row = data["entries"][0]
+    bad_label = {**row, "label": {**row["label"], "rank": 2.0}}
+    with pytest.raises(ValueError):
+        FormalSum.from_json({**data, "entries": [bad_label]})
+
+
 def test_defining_characters():
     assert weyl_character(sp(1, 1)).terms == {(1,): 1, (-1,): 1}
     assert weyl_character(circle(5)).terms == {(5,): 1}
