@@ -25,17 +25,25 @@ the package; each pairwise step applies the Brauer-Klimyk rule
 a hard internal error, never clamped.  The tests keep greedy peeling of the
 character product as an independent reference oracle.
 
-All operations are pure functions over immutable values; the in-memory
-pairwise tensor memo behaves as if absent.
+All operations are pure functions over immutable values.  Two label memos
+(pairwise tensor products and characters) behave as if absent, and
+``clear_caches`` empties both.  The constants of each algebra (Weyl kind and
+rho, positive roots, coordinate index pairs, the denominator of the Weyl
+dimension formula) are built once per (kind or family, rank) and
+kept for the life of the process; they are not label memos, hold no label,
+and ``clear_caches`` does not empty them.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from math import prod
+from operator import add, ge, mul, sub
 from typing import Iterable, NamedTuple
 
 from .laurent import LaurentPoly
-from .partitions import canonical
+from .partitions import canonical_ints
 
 FAMILIES = ("su", "sp", "u", "so", "circle")
 
@@ -84,18 +92,18 @@ class IrrepLabel(ValidatedTuple, _IrrepFields):
     def __new__(cls, family: str, rank: int, weight: Iterable[int]) -> "IrrepLabel":
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        w = tuple(int(x) for x in weight)
+        w = tuple(map(int, weight))
         if family == "su":
             if rank < 2:
                 raise ValueError("su rank must be >= 2")
-            part = canonical(w)
+            part = canonical_ints(w)
             if len(part) > rank - 1:
                 raise ValueError(f"su({rank}) weight too long: {w}")
             w = part
         elif family == "sp":
             if rank < 1:
                 raise ValueError("sp rank must be >= 1")
-            part = canonical(w)
+            part = canonical_ints(w)
             if len(part) > rank:
                 raise ValueError(f"sp({rank}) weight too long: {w}")
             w = part
@@ -104,14 +112,14 @@ class IrrepLabel(ValidatedTuple, _IrrepFields):
                 raise ValueError("u rank must be >= 1")
             if len(w) != rank:
                 raise ValueError(f"u({rank}) weight must have length {rank}: {w}")
-            if any(a < b for a, b in zip(w, w[1:])):
+            if not all(map(ge, w, w[1:])):
                 raise ValueError(f"u weight not weakly decreasing: {w}")
         elif family == "so":
             if rank < 2:
                 raise ValueError("so rank must be >= 2 (of SO(2n), n = rank)")
             if len(w) != rank:
                 raise ValueError(f"so weight must have length {rank}: {w}")
-            if any(a < b for a, b in zip(w[:-1], w[1:-1])):
+            if not all(map(ge, w[:-2], w[1:-1])):
                 raise ValueError(f"so weight not weakly decreasing: {w}")
             if w[-2] < abs(w[-1]):
                 raise ValueError(f"so weight needs a[n-2] >= |a[n-1]|: {w}")
@@ -120,7 +128,7 @@ class IrrepLabel(ValidatedTuple, _IrrepFields):
                 raise ValueError("circle rank is always 1")
             if len(w) != 1:
                 raise ValueError("circle weight is a single integer")
-        return super().__new__(cls, family, rank, w)
+        return tuple.__new__(cls, (family, rank, w))
 
     @property
     def is_trivial(self) -> bool:
@@ -210,12 +218,18 @@ class FormalSum:
 
     @classmethod
     def from_json(cls, data: dict) -> "FormalSum":
+        """The sum a ``to_json`` dict holds.  Two entries that name one label,
+        once normalised (``[1, 0]`` and ``[1]`` in sp), raise ValueError, so
+        no entry overwrites another or hides a negative multiplicity."""
         trunc = data.get("truncation", "exact")
         if trunc != "exact":
             raise ValueError(f"not an exact decomposition: truncation {trunc!r}")
         entries = {}
         for row in data["entries"]:
-            entries[IrrepLabel.from_json(row["label"])] = json_int(row["mult"])
+            label = IrrepLabel.from_json(row["label"])
+            if label in entries:
+                raise ValueError(f"two entries for {label}")
+            entries[label] = json_int(row["mult"])
         return cls(entries)
 
     def __repr__(self) -> str:
@@ -225,28 +239,54 @@ class FormalSum:
 
 # ---------------------------------------------------------------------------
 # Weyl data
+#
+# Each ``lru_cache`` table of this module holds constants of one algebra, one
+# entry per (kind or family, rank) met (see the module docstring).
 
 # Weyl groups: permutations (A; the circle is A of rank 1), signed
 # permutations (C), and those with an even number of sign changes (D)
 _WEYL_KIND = {"su": "A", "u": "A", "circle": "A", "sp": "C", "so": "D"}
 
 
+@lru_cache(maxsize=None)
+def _algebra(family: str, rank: int) -> tuple[str, tuple[int, ...]]:
+    """Weyl group kind and rho of a family at a rank; su works on the u(m)
+    lift, so its rho is that of u(m)."""
+    top = rank if family == "sp" else rank - 1
+    return _WEYL_KIND[family], tuple(range(top, top - rank, -1))
+
+
 def _weyl_data(label: IrrepLabel) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     """Weyl group kind, rho and the weight padded to the rank: su and sp
     labels are partitions, and su works on the u(m) lift with last entry 0."""
-    fam, rank, w = label.family, label.rank, label.weight
-    top = rank if fam == "sp" else rank - 1
-    return _WEYL_KIND[fam], tuple(range(top, top - rank, -1)), w + (0,) * (rank - len(w))
+    kind, rho = _algebra(label.family, label.rank)
+    w = label.weight
+    return kind, rho, w + (0,) * (label.rank - len(w))
 
 
-def _positive_roots(kind: str, n: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _index_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The coordinate pairs i < j of an n-vector."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
     """e_i - e_j for i < j; also e_i + e_j for C and D; also 2e_i for C."""
-    pairs = list(itertools.combinations(range(n), 2))
+    pairs = _index_pairs(n)
     signs = (-1,) if kind == "A" else (-1, 1)
     roots = [tuple((k == i) + s * (k == j) for k in range(n)) for s in signs for i, j in pairs]
     if kind == "C":
         roots += [tuple(2 * (k == i) for k in range(n)) for i in range(n)]
-    return roots
+    return tuple(roots)
+
+
+def _is_dominant(kind: str, v: tuple[int, ...]) -> bool:
+    """Whether ``v`` lies in the closed dominant chamber: weakly decreasing,
+    with a last entry >= 0 (C) or with a[n-2] >= |a[n-1]| (D)."""
+    if kind == "D":
+        return all(map(ge, v[:-2], v[1:-1])) and v[-2] >= abs(v[-1])
+    return all(map(ge, v, v[1:])) and (kind == "A" or v[-1] >= 0)
 
 
 def _dominant(kind: str, v) -> tuple[int, ...]:
@@ -257,17 +297,6 @@ def _dominant(kind: str, v) -> tuple[int, ...]:
     if kind == "D" and d[-1] and sum(x < 0 for x in v) % 2:
         d[-1] = -d[-1]
     return tuple(d)
-
-
-def _reflect(kind: str, v: list[int]) -> tuple[int, tuple[int, ...]] | None:
-    """Sign and dominant image of ``v`` under the Weyl group of ``kind``, or
-    None when ``v`` lies on a wall."""
-    keys = v if kind == "A" else [abs(x) for x in v]
-    if len(set(keys)) < len(keys) or (kind == "C" and 0 in keys):
-        return None
-    flips = sum(x < y for i, x in enumerate(keys) for y in keys[i + 1 :])
-    flips += sum(x < 0 for x in v) if kind == "C" else 0
-    return (-1) ** flips, _dominant(kind, v)
 
 
 def _rearrangements(values: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -289,12 +318,15 @@ def _orbit(kind: str, mu: tuple[int, ...]) -> list[tuple[int, ...]]:
     number of minus signs has the parity of mu's own."""
     if kind == "A":
         return _rearrangements(mu)
-    return [
-        tuple(s * x for s, x in zip(signs, p))
+    orbit = [
+        v
         for p in _rearrangements(tuple(map(abs, mu)))
-        for signs in itertools.product(*[(1, -1) if x else (1,) for x in p])
-        if kind == "C" or 0 in p or signs.count(-1) % 2 == (mu[-1] < 0)
+        for v in itertools.product(*[(x, -x) if x else (0,) for x in p])
     ]
+    if kind == "D" and 0 not in mu:
+        odd = mu[-1] < 0
+        orbit = [v for v in orbit if len([x for x in v if x < 0]) % 2 == odd]
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +359,22 @@ def weyl_character(label: IrrepLabel) -> LaurentPoly:
     while todo:
         mu = todo.pop()
         for a in roots:
-            nu = tuple(x - y for x, y in zip(mu, a))
-            if nu not in found and _dominant(kind, nu) == nu:
+            nu = tuple(map(sub, mu, a))
+            if nu not in found and _is_dominant(kind, nu):
                 found.add(nu)
                 todo.append(nu)
-    norm = {mu: sum((x + r) ** 2 for x, r in zip(mu, rho)) for mu in found}
+    norm = {}
+    for mu in found:
+        s = tuple(map(add, mu, rho))
+        norm[mu] = sum(map(mul, s, s))
     mult = {lam: 1}
     for mu in sorted(found - {lam}, key=lambda mu: (norm[mu], mu), reverse=True):
         total = 0
         for a in roots:
-            nu = tuple(x + y for x, y in zip(mu, a))
+            nu = tuple(map(add, mu, a))
             while m := mult.get(_dominant(kind, nu)):
-                total += m * sum(x * y for x, y in zip(nu, a))
-                nu = tuple(x + y for x, y in zip(nu, a))
+                total += m * sum(map(mul, nu, a))
+                nu = tuple(map(add, nu, a))
         m, rem = divmod(2 * total, norm[lam] - norm[mu])
         if rem:
             raise OracleError(f"non-integral weight multiplicity at {mu} for {label}")
@@ -349,36 +384,38 @@ def weyl_character(label: IrrepLabel) -> LaurentPoly:
     return poly
 
 
+def _weyl_product(family: str, l: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> int:
+    """The Weyl product of l = w + rho, written out for each family apart
+    from the roots and the characters: the product over the index pairs
+    i < j of l_i - l_j (su, u) or of l_i^2 - l_j^2 (sp, so), times every l_i
+    for sp."""
+    num = prod(l) if family == "sp" else 1
+    if family in ("sp", "so"):
+        l = [x * x for x in l]
+    for i, j in pairs:
+        num *= l[i] - l[j]
+    return num
+
+
+@lru_cache(maxsize=None)
+def _dimension_data(family: str, rank: int) -> tuple[tuple[int, ...], tuple, int]:
+    """Rho, the coordinate index pairs and the Weyl product of rho, the
+    denominator of the dimension formula."""
+    rho = _algebra(family, rank)[1]
+    pairs = _index_pairs(rank)
+    return rho, pairs, _weyl_product(family, rho, pairs)
+
+
 def dimension(label: IrrepLabel) -> int:
-    """Dimension from the Weyl product formula (independent of the character)."""
-    fam, rank, w = label.family, label.rank, label.weight
+    """Dimension from the Weyl product formula, independent of the
+    characters and of the root table: the Weyl product of the weight over
+    that of the trivial weight, a constant of the algebra."""
+    fam, rank, w = label
     if fam == "circle":
         return 1
-    num = den = 1
-    if fam in ("su", "u"):
-        lam = w + (0,) * (rank - len(w)) if fam == "su" else w
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                num *= lam[i] - lam[j] + j - i
-                den *= j - i
-    elif fam == "sp":
-        lam = w + (0,) * (rank - len(w))
-        l = [lam[i] + rank - i for i in range(rank)]
-        m = [rank - i for i in range(rank)]
-        for i in range(rank):
-            num *= l[i]
-            den *= m[i]
-            for j in range(i + 1, rank):
-                num *= (l[i] - l[j]) * (l[i] + l[j])
-                den *= (m[i] - m[j]) * (m[i] + m[j])
-    else:  # so
-        l = [w[i] + rank - 1 - i for i in range(rank)]
-        m = [rank - 1 - i for i in range(rank)]
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                num *= (l[i] - l[j]) * (l[i] + l[j])
-                den *= (m[i] - m[j]) * (m[i] + m[j])
-    d, rem = divmod(num, den)
+    rho, pairs, den = _dimension_data(fam, rank)
+    # su and sp weights are partitions: the missing entries are 0
+    d, rem = divmod(_weyl_product(fam, (*map(add, w, rho), *rho[len(w) :]), pairs), den)
     if rem:
         raise OracleError(f"non-integral dimension for {label}")
     return d
@@ -408,6 +445,38 @@ def weight_system(label: IrrepLabel) -> dict[tuple[int, ...], int]:
 _PAIR_CACHE: dict[tuple, dict[IrrepLabel, int]] = {}
 
 
+def _brauer_klimyk(kind: str, shifted: tuple[int, ...], rho: tuple[int, ...], weights) -> dict:
+    """The net coefficient of each dominant lam in the sum over the weights
+    (mu, m) of m sign(w) [w(shifted + mu) - rho], where w takes shifted + mu
+    into the dominant chamber.  Ordering the entries (A) or their absolute
+    values (C, D) decreasingly is w up to signs; a repeated key, or a zero
+    one in C, puts the weight on a wall, where its term vanishes.  det(w) is
+    the parity of the key inversions, plus the minus signs in C; in D the
+    sign changes come in pairs, and an odd number of minus signs leaves the
+    last entry negative."""
+    n = len(shifted)
+    pairs = _index_pairs(n)
+    net: dict[tuple[int, ...], int] = {}
+    for mu, m in weights:
+        v = tuple(map(add, shifted, mu))
+        keys = v if kind == "A" else tuple(map(abs, v))
+        if len(set(keys)) < n:
+            continue
+        d = sorted(keys, reverse=True)
+        flips = sum([keys[i] < keys[j] for i, j in pairs])
+        if kind != "A":
+            minus = len([x for x in v if x < 0])
+            if kind == "C":
+                if not d[-1]:
+                    continue
+                flips += minus
+            elif minus % 2 and d[-1]:
+                d[-1] = -d[-1]
+        lam = tuple(map(sub, d, rho))
+        net[lam] = net.get(lam, 0) + (-m if flips % 2 else m)
+    return net
+
+
 def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     """
     Decomposition of a (x) b into irreducibles by the Brauer-Klimyk rule:
@@ -430,16 +499,9 @@ def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     if dim_b > dim_a:
         a, b = b, a
     kind, rho, lam_a = _weyl_data(a)
-    shifted = [x + r for x, r in zip(lam_a, rho)]
-    net: dict[tuple[int, ...], int] = {}
-    for mu, m in weyl_character(b).items():
-        image = _reflect(kind, [x + y for x, y in zip(shifted, mu)])
-        if image is not None:
-            sign, d = image
-            lam = tuple(x - r for x, r in zip(d, rho))
-            net[lam] = net.get(lam, 0) + sign * m
+    shifted = tuple(map(add, lam_a, rho))
     result = {}
-    for lam, c in net.items():
+    for lam, c in _brauer_klimyk(kind, shifted, rho, weyl_character(b).items()).items():
         if c < 0:
             raise OracleError(f"negative multiplicity {c} at {lam} in {a} (x) {b}")
         if c:
@@ -478,7 +540,8 @@ def decompose_product(labels: Iterable[IrrepLabel]) -> FormalSum:
 
 
 # ---------------------------------------------------------------------------
-# memo reset (each process starts with empty memos)
+# memo reset (each process starts with empty memos); the per-algebra
+# constants of the Weyl data section hold no label and stay
 
 
 def clear_caches() -> None:

@@ -15,6 +15,7 @@ horizontal strip iff it has at most one cell per column, equivalently iff
 from __future__ import annotations
 
 import itertools
+from operator import ge
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -22,15 +23,17 @@ Partition = tuple[int, ...]
 
 def canonical(parts: Iterable[int]) -> Partition:
     """Validate an int sequence as a partition and strip trailing zeros."""
-    t = tuple(int(x) for x in parts)
-    for a, b in zip(t, t[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {t}")
+    return canonical_ints(tuple(int(x) for x in parts))
+
+
+def canonical_ints(t: tuple[int, ...]) -> Partition:
+    """``canonical`` of a tuple that already holds ints, which it does not
+    convert again."""
+    if not all(map(ge, t, t[1:])):
+        raise ValueError(f"not weakly decreasing: {t}")
     if t and t[-1] < 0:
         raise ValueError(f"negative part: {t}")
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
+    return _trim(t)
 
 
 def _trim(t: tuple[int, ...]) -> Partition:

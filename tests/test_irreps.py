@@ -128,6 +128,19 @@ def test_formal_sum_json_reads_integer_multiplicities_only():
         FormalSum.from_json({**data, "entries": [bad_label]})
 
 
+def test_formal_sum_json_refuses_two_entries_for_one_label():
+    def entry(weight, mult):
+        return {"label": {"family": "sp", "rank": 2, "weight": weight}, "mult": mult}
+
+    # [1, 0] and [1] normalise to one label: the second entry would overwrite
+    # the first, or hide its negative multiplicity
+    for first, second in ((1, 5), (-1, 1), (1, 1)):
+        data = {"entries": [entry([1, 0], first), entry([1], second)]}
+        with pytest.raises(ValueError, match="two entries"):
+            FormalSum.from_json(data)
+    assert FormalSum.from_json({"entries": [entry([1, 0], 5)]}) == FormalSum({sp(2, 1): 5})
+
+
 def test_defining_characters():
     assert weyl_character(sp(1, 1)).terms == {(1,): 1, (-1,): 1}
     assert weyl_character(circle(5)).terms == {(5,): 1}
