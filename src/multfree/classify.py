@@ -18,12 +18,15 @@ witness's multiplicity and routes are joined from walks of the block series
 too (``cases.production_routes``), on their first read (see ``Verdict``),
 so a sweep never recovers them and no reader walks the whole product
 series; only ``verify_witness`` does, as the independent check.
-Block scans are memoised on (block spec, tau piece, degree), since a sweep
-meets the same block with the same tau piece in many rows; a scan's result
-is immutable, so a shared entry cannot be changed by a caller.  Tau's
-one-dimensional characters of K (circle weights, determinant powers of
-u(k)) are split off once per row before the scans: a character only moves
-every composite label (see ``_split_characters``).
+Tau's one-dimensional characters of K (circle weights, determinant powers
+of u(k)) are split off first: a character only moves every composite label
+(see ``_split_characters``).  The character-free row's decision, its
+witness degree and unshifted witness, is memoised on (spec, character-free
+tau, degree) (``_decide``), so rows that differ only by characters are
+decided once, and only a row that carries a character moves the witness.
+Block scans are memoised too, on (block spec, tau piece, degree), since
+blocks recur across specs and rows (``_scan``).  Both memos hold immutable
+values, so a shared entry cannot be changed by a caller.
 
 ``expected_verdict`` encodes the published classification table for the
 nine families; ``cross_check`` compares it against the computed verdict and
@@ -37,7 +40,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
 
 from .cases import (
     CaseSpec,
@@ -133,9 +135,9 @@ def deg_window(spec: CaseSpec, tau: TauSpec) -> int:
     return tau.weight_size() + 4
 
 
-def _split_characters(spec: CaseSpec, tau: TauSpec) -> tuple[TauSpec, Callable]:
+def _split_characters(spec: CaseSpec, tau: TauSpec) -> tuple[TauSpec, tuple]:
     """Tau with its one-dimensional characters of K made trivial (tau itself
-    when it carries none), and the label shift that they make.
+    when it carries none), and those characters as (factor, c) pairs.
 
     Such a character is a circle weight c, which shifts the circle's torus
     coordinate by c, or a constant u(k) weight (c, ..., c), a determinant
@@ -151,23 +153,25 @@ def _split_characters(spec: CaseSpec, tau: TauSpec) -> tuple[TauSpec, Callable]:
     weights of the same rank, which are compared lexicographically.  The
     witness degree and the witness therefore move with it.
     """
-    chars, labels = {}, []
+    chars, labels = [], []
     for f, lab in zip(factors(spec), tau.labels):
         if f.family in ("circle", "u") and lab.weight[0] != 0 and len(set(lab.weight)) == 1:
-            chars[f] = lab.weight[0]
+            chars.append((f, lab.weight[0]))
             lab = trivial(f.family, f.rank)
         labels.append(lab)
+    return (TauSpec(spec, tuple(labels)) if chars else tau), tuple(chars)
 
-    def shift(lab: CompositeLabel) -> CompositeLabel:
-        torus, ulabels = list(lab.torus), list(lab.ulabels)
-        for f, c in chars.items():
-            if f.family == "circle":
-                torus[f.pos] += c
-            else:
-                ulabels[f.pos] = IrrepLabel("u", f.rank, tuple(x + c for x in ulabels[f.pos].weight))
-        return CompositeLabel(tuple(torus), tuple(ulabels))
 
-    return (TauSpec(spec, tuple(labels)) if chars else tau), shift
+def _shift(lab: CompositeLabel, chars: tuple) -> CompositeLabel:
+    """The label moved by the characters that ``_split_characters`` split
+    off: c on a circle's torus coordinate, (c, ..., c) on a u-slot."""
+    torus, ulabels = list(lab.torus), list(lab.ulabels)
+    for f, c in chars:
+        if f.family == "circle":
+            torus[f.pos] += c
+        else:
+            ulabels[f.pos] = IrrepLabel("u", f.rank, tuple(x + c for x in ulabels[f.pos].weight))
+    return CompositeLabel(tuple(torus), tuple(ulabels))
 
 
 @lru_cache(maxsize=1024)
@@ -199,11 +203,36 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[tuple, int | None,
     return tuple(found), witness_degree, least0
 
 
+@lru_cache(maxsize=1024)
+def _decide(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[int | None, CompositeLabel | None]:
+    """The witness degree and the witness of a character-free row, or
+    (None, None) when it is multiplicity-free up to ``degree``: the block
+    scans joined as ``classify`` sets out.  Memoised on (spec, tau, degree),
+    since a sweep meets one character-free row under many characters; both
+    values are immutable."""
+    scans = [_scan(b, t, degree) for b, t in block_pieces(spec, tau)]
+    witness_degree = min((d for _, d, _ in scans if d is not None), default=None)
+    if witness_degree is None:
+        return None, None
+    least0 = [z for _, _, z in scans]
+    witness = min(
+        join_labels(least0[:i] + [min(found)] + least0[i + 1 :])
+        for i, (found, d, _) in enumerate(scans)
+        if d == witness_degree
+    )
+    return witness_degree, witness
+
+
 def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict:
     """
     Scan omega (x) tau up to the truncation degree and return either the
     first label (by witness degree, then label order) with multiplicity >= 2,
     or the bounded multiplicity-freeness certificate.
+
+    Tau's characters are split off first (``_split_characters``), and the
+    character-free row is decided once per (spec, tau, degree) (``_decide``);
+    the witness is then moved by the characters (``_shift``), when tau
+    carries any.
 
     Each block series (x) its tau piece is scanned on its own, up to its
     witness degree (``cases.blocks``; a spec outside families II and VIII is
@@ -234,21 +263,14 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
     read of either, so a caller that reads only the verdict, the witness
     and its degree (``cross_check``, ``sweep``) never recovers them.
     """
-    free, shift = _split_characters(spec, tau)
+    free, chars = _split_characters(spec, tau)
     if degree is None:
         degree = deg_window(spec, free)
-    scans = [_scan(b, t, degree) for b, t in block_pieces(spec, free)]
-    witness_degree = min((d for _, d, _ in scans if d is not None), default=None)
+    witness_degree, witness = _decide(spec, free, degree)
     if witness_degree is None:
         return Verdict(False, degree)
-    least0 = [z for _, _, z in scans]
-    witness = shift(
-        min(
-            join_labels(least0[:i] + [min(found)] + least0[i + 1 :])
-            for i, (found, d, _) in enumerate(scans)
-            if d == witness_degree
-        )
-    )
+    if chars:
+        witness = _shift(witness, chars)
     recover = partial(_recover, spec, tau, degree, witness)
     return Verdict(True, degree, witness, recover, witness_degree, recover)
 

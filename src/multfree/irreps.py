@@ -181,8 +181,10 @@ def circle(r: int) -> IrrepLabel:
 class FormalSum:
     """
     An exact decomposition: a mapping from irreducible labels to
-    multiplicities >= 1.  ``to_json`` and ``repr`` run in label order
-    (family, rank, weight).
+    multiplicities >= 1.  A multiplicity that is not an int (a float, a
+    string or a bool, which ``int`` would truncate or convert) raises
+    ValueError, as a negative one does; zero drops the label.  ``to_json``
+    and ``repr`` run in label order (family, rank, weight).
     """
 
     __slots__ = ("entries",)
@@ -191,10 +193,12 @@ class FormalSum:
         self.entries: dict = {}
         if entries:
             for label, mult in dict(entries).items():
-                if mult < 0:
-                    raise ValueError(f"negative multiplicity for {label}")
+                if type(mult) is not int:
+                    raise ValueError(f"multiplicity for {label} must be an int, got {mult!r}")
                 if mult > 0:
-                    self.entries[label] = int(mult)
+                    self.entries[label] = mult
+                elif mult < 0:
+                    raise ValueError(f"negative multiplicity for {label}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalSum) and self.entries == other.entries

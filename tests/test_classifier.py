@@ -11,6 +11,7 @@ import pytest
 
 import multfree.cases as cases_mod
 import multfree.classify as classify_mod
+import multfree.irreps as irreps_mod
 from multfree.cases import (
     CompositeLabel,
     TauSpec,
@@ -47,8 +48,10 @@ from multfree.irreps import decompose_product, sp, u
 
 @pytest.fixture
 def cold_scans():
-    # block scans are memoised across calls; a test that records the terms a
-    # scan draws starts from an empty memo, so that every scan runs
+    # row decisions and block scans are memoised across calls; a test that
+    # records the terms a scan draws starts from empty memos, so that every
+    # row is decided and every scan runs
+    classify_mod._decide.cache_clear()
     classify_mod._scan.cache_clear()
 
 
@@ -441,8 +444,10 @@ def test_scan_memo_is_transparent():
     ]
     cold = []
     for spec, tau, degree in rows:
+        classify_mod._decide.cache_clear()
         classify_mod._scan.cache_clear()
         cold.append(classify(spec, tau, degree).to_json())
+    classify_mod._decide.cache_clear()
     classify_mod._scan.cache_clear()
     warm = [classify(spec, tau, degree).to_json() for spec, tau, degree in reversed(rows)]
     assert warm[::-1] == cold
@@ -533,17 +538,21 @@ def test_scan_draws_one_series_per_tau_modulo_characters(monkeypatch, cold_scans
 
 
 def test_row_with_a_character_adds_no_block_scan(cold_scans):
-    # classify splits tau's characters off before the block scans, so rows
-    # that differ from a scanned one only by a circle weight or a determinant
-    # power meet the memo on every block and add no entry to it
+    # classify splits tau's characters off before deciding the row, so rows
+    # that differ from a decided one only by a circle weight or a determinant
+    # power meet the decision memo and never reach a block scan
     spec = case_spec("VIII", m=(3,), kn=((1, 0),))
     classify(spec, tau_spec(spec, **{"su.1": (1,)}), 6)
     before = classify_mod._scan.cache_info()
+    decided = classify_mod._decide.cache_info()
     for characters in ({"s1.1": 2}, {"s1.1": 2, "u.1": (-1,)}):
         classify(spec, tau_spec(spec, **{"su.1": (1,)}, **characters), 6)
     after = classify_mod._scan.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
-    assert after.hits > before.hits
+    assert after.hits == before.hits
+    now = classify_mod._decide.cache_info()
+    assert (now.misses, now.currsize) == (decided.misses, decided.currsize)
+    assert now.hits == decided.hits + 2
 
 
 def _tau_characters(spec, tau):
@@ -989,12 +998,35 @@ def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(cases_mod, "blocks", counted)
-    for memo in (factors, omega_entries, cases_mod._block_positions, classify_mod._scan):
+    memos = (factors, omega_entries, cases_mod._block_positions, classify_mod._decide, classify_mod._scan)
+    for memo in memos:
         memo.cache_clear()
     rows = [row for spec in CHARACTER_SPECS for row in sweep(spec, 2, 6)]
     assert len(rows) == 1151
     swept = {b for spec in CHARACTER_SPECS for b, _ in real(spec)} | set(CHARACTER_SPECS)
     assert set(calls) == swept and max(calls.values()) <= 3
+
+
+def test_reference_sweep_decides_each_character_free_row_once(monkeypatch):
+    # the 647 rows of the reference sweep hold 249 distinct (spec,
+    # character-free tau, degree) keys: each is cut into its blocks once, and
+    # the 165 distinct block scans run once each, from empty memos
+    calls = Counter()
+    real = classify_mod.block_pieces
+
+    def counted(spec, tau):
+        calls[spec, tau] += 1
+        return real(spec, tau)
+
+    monkeypatch.setattr(classify_mod, "block_pieces", counted)
+    memos = (factors, omega_entries, cases_mod._block_positions, classify_mod._decide, classify_mod._scan)
+    for memo in memos:
+        memo.cache_clear()
+    irreps_mod.clear_caches()
+    rows = [row for spec in default_grid() for row in sweep(spec, 2, 6)]
+    assert len(rows) == 647
+    assert sum(calls.values()) == len(calls) == 249
+    assert classify_mod._scan.cache_info().misses == 165
 
 
 def test_vii_u_condition_derivation():

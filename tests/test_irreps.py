@@ -319,6 +319,15 @@ def test_formal_sum_basics():
         FormalSum({sp(2, 1): -1})
 
 
+def test_formal_sum_refuses_a_multiplicity_that_is_not_an_int():
+    # int() would truncate 2.5 to 2 and read True as 1
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="must be an int"):
+            FormalSum({sp(2, 1): bad})
+    assert FormalSum({sp(2, 1): 2})[sp(2, 1)] == 2
+    assert FormalSum({sp(2, 1): 0}) == FormalSum()
+
+
 def test_formal_sum_multiplicity_example():
     # a repeated constituent shows up when tensoring (2,1) with the 2-row
     out = decompose_product([sp(2, 2, 1), sp(2, 2)])
