@@ -28,8 +28,9 @@ block specs of family VIII, the two halves of family II, and any other spec
 as its own single block.  ``factors`` places every spec's factors block by
 block, so each block owns a contiguous run of torus coordinates and of
 u-slots.  The split of tau and of labels per block, the whole II and VIII
-series (one graded product of the block series) and route recovery (one
-walk per block series, joined) all derive from it.  The route parameters of
+series (one graded product of the block series) and route recovery (each
+block's ``product_terms`` filtered to its cut of the witness, joined) all
+derive from it.  The route parameters of
 a II term are its halves' (l, r), read as (l1, r) and (l2, s).
 
 Degree truncation bounds the sum of the grading parameters of omega (the
@@ -546,38 +547,14 @@ def product_terms(
                 yield oe, te, CompositeLabel(t, ulabels), te.mult * mult
 
 
-def _partner_walk(spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel) -> list[tuple]:
-    """The productions of ``target`` in one block series, as (degree, omega
-    params, tau weights, multiplicity).  Each tau entry is keyed by its
-    partner torus vector, ``target``'s minus its own; tau entries have
-    distinct torus vectors (each torus factor owns its coordinates, and a
-    weight system folds multiplicities), so each omega entry meets at most
-    one partner, found by one lookup in one walk of the series.  Every tau
-    entry has tau's own u-slot labels."""
-    tau_ulabels = tau.ulabels
-    partners = {
-        tuple(a - b for a, b in zip(target.torus, te.torus)): te for te in tau_entries(spec, tau)
-    }
-    out = []
-    for oe in omega_entries(spec, degree):
-        te = partners.get(oe.torus)
-        if te is None:
-            continue
-        mult = te.mult
-        for a, b, want in zip(oe.ulabels, tau_ulabels, target.ulabels):
-            mult *= tensor_pair(a, b).get(want, 0)
-        if mult:
-            out.append((oe.degree, oe.params, te.weights, mult))
-    return out
-
-
 def production_routes(
     spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel
 ) -> list[dict]:
     """
     All (omega term, tau term) productions of ``target``, with
     multiplicities, from the block series alone: ``target`` is cut per
-    block, and each block series meets its piece of tau in one partner walk.
+    block, and each block keeps the productions of its series with its piece
+    of tau (``product_terms``) that reach its cut of ``target``.
     A production of the whole series is one per block with degrees adding
     up to at most ``degree``; the blocks own disjoint torus coordinates and
     u-slots, so tau weights join and multiplicities multiply.  Params are
@@ -587,7 +564,11 @@ def production_routes(
     if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(tau.ulabels):
         return []
     found = [
-        _partner_walk(b, piece, degree, lab)
+        [
+            (oe.degree, oe.params, te.weights, mult)
+            for oe, te, got, mult in product_terms(b, piece, degree)
+            if got == lab
+        ]
         for (b, piece), lab in zip(block_pieces(spec, tau), cut_label(spec, target))
     ]
     keys = [key for _, block_keys in blocks(spec) for key in block_keys]

@@ -14,19 +14,18 @@ blocks, and a family II series that of its two spin(4) halves, on disjoint
 torus coordinates and u-slots, and tau splits the same way; a spec of any
 other family is its own single block.  Every spec is decided, and its
 witness found, from the scans of its blocks (see ``classify``).  The
-witness's multiplicity and routes are joined from walks of the block series
-too (``cases.production_routes``), on their first read (see ``Verdict``),
-so a sweep never recovers them and no reader walks the whole product
-series; only ``verify_witness`` does, as the independent check.
+witness's multiplicity and routes are joined from the block series too
+(``cases.production_routes``), on their first read (see ``Verdict``), so a
+sweep never recovers them and no reader walks the whole product series;
+only ``verify_witness`` does, as the independent check.
 Tau's one-dimensional characters of K (circle weights, determinant powers
 of u(k)) are split off first: a character only moves every composite label
-(see ``_split_characters``).  The character-free row's decision, its
-witness degree and unshifted witness, is memoised on (spec, character-free
-tau, degree) (``_decide``), so rows that differ only by characters are
-decided once, and only a row that carries a character moves the witness.
-Block scans are memoised too, on (block spec, tau piece, degree), since
-blocks recur across specs and rows (``_scan``).  Both memos hold immutable
-values, so a shared entry cannot be changed by a caller.
+(see ``_split_characters``).  One memo, ``_decide``, holds the decisions of
+character-free rows and of the block pieces they are cut into, on (spec,
+tau, degree): rows that differ only by characters are decided once, blocks
+that recur across specs and rows are scanned once, and only a row that
+carries a character moves the witness.  Its values are immutable, so a
+shared entry cannot be changed by a caller.
 
 ``expected_verdict`` encodes the published classification table for the
 nine families; ``cross_check`` compares it against the computed verdict and
@@ -174,22 +173,34 @@ def _shift(lab: CompositeLabel, chars: tuple) -> CompositeLabel:
     return CompositeLabel(tuple(torus), tuple(ulabels))
 
 
-@lru_cache(maxsize=1024)
-def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[tuple, int | None, CompositeLabel]:
+@lru_cache(maxsize=None)
+def _decide(
+    spec: CaseSpec, tau: TauSpec, degree: int
+) -> tuple[int | None, CompositeLabel | None, CompositeLabel]:
     """
-    The labels that first reach multiplicity >= 2 at the witness degree (a
-    tuple), that degree (None when the series is multiplicity-free up to
-    ``degree``), and the least label of the degree-0 part of the series.
-
-    Omega terms come in degree order, so the scan stops once the first degree
-    at which some label reaches multiplicity 2 is complete: any later witness
-    would be reached at a higher degree.  Memoised on (spec, tau, degree); tau
-    is character-free (see ``classify``), and every value is immutable.
+    The witness degree and witness of a character-free row, or (None, None)
+    when it is multiplicity-free up to ``degree``, and the least label of
+    its series' degree-0 part.  A spec that is not its own single block
+    joins its blocks' decisions as ``classify`` sets out (the degree-0 part
+    of the product is the product of theirs).  A single block scans its
+    series, which comes in degree order, and stops once the first degree at
+    which a label reaches multiplicity 2 is complete.  Memoised with no
+    bound on (spec, tau, degree), for rows and block pieces alike; every
+    value is immutable.
     """
+    pieces = block_pieces(spec, tau)
+    if pieces[0][0] != spec:
+        decided = [_decide(b, t, degree) for b, t in pieces]
+        least0 = [z for _, _, z in decided]
+        joins = [
+            (d, join_labels(least0[:i] + [w] + least0[i + 1 :]))
+            for i, (d, w, _) in enumerate(decided)
+            if d is not None
+        ]
+        witness_degree, witness = min(joins, default=(None, None))
+        return witness_degree, witness, join_labels(least0)
     counts: dict[CompositeLabel, int] = {}
-    found: list[CompositeLabel] = []
-    witness_degree = None
-    least0 = None
+    witness_degree = witness = least0 = None
     for oe, _, lab, mult in product_terms(spec, tau, degree):
         if witness_degree is not None and oe.degree > witness_degree:
             break
@@ -197,30 +208,9 @@ def _scan(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[tuple, int | None,
             least0 = lab
         c = counts.get(lab, 0) + mult
         counts[lab] = c
-        if c >= 2 and c - mult < 2:
-            found.append(lab)
-            witness_degree = oe.degree
-    return tuple(found), witness_degree, least0
-
-
-@lru_cache(maxsize=1024)
-def _decide(spec: CaseSpec, tau: TauSpec, degree: int) -> tuple[int | None, CompositeLabel | None]:
-    """The witness degree and the witness of a character-free row, or
-    (None, None) when it is multiplicity-free up to ``degree``: the block
-    scans joined as ``classify`` sets out.  Memoised on (spec, tau, degree),
-    since a sweep meets one character-free row under many characters; both
-    values are immutable."""
-    scans = [_scan(b, t, degree) for b, t in block_pieces(spec, tau)]
-    witness_degree = min((d for _, d, _ in scans if d is not None), default=None)
-    if witness_degree is None:
-        return None, None
-    least0 = [z for _, _, z in scans]
-    witness = min(
-        join_labels(least0[:i] + [min(found)] + least0[i + 1 :])
-        for i, (found, d, _) in enumerate(scans)
-        if d == witness_degree
-    )
-    return witness_degree, witness
+        if c >= 2 and c - mult < 2 and (witness is None or lab < witness):
+            witness, witness_degree = lab, oe.degree
+    return witness_degree, witness, least0
 
 
 def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict:
@@ -258,15 +248,16 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
 
     The witness's ``multiplicity`` and ``routes`` count every production of
     the whole series up to the truncation degree D.  They are joined from
-    walks of the block series, by the formula above at e = D
-    (``cases.production_routes``).  One recovery fills both on the first
-    read of either, so a caller that reads only the verdict, the witness
-    and its degree (``cross_check``, ``sweep``) never recovers them.
+    the productions of each block series that reach the witness's label on
+    that block, by the formula above at e = D (``cases.production_routes``).
+    One recovery fills both on the first read of either, so a caller that
+    reads only the verdict, the witness and its degree (``cross_check``,
+    ``sweep``) never recovers them.
     """
     free, chars = _split_characters(spec, tau)
     if degree is None:
         degree = deg_window(spec, free)
-    witness_degree, witness = _decide(spec, free, degree)
+    witness_degree, witness, _ = _decide(spec, free, degree)
     if witness_degree is None:
         return Verdict(False, degree)
     if chars:
@@ -285,9 +276,9 @@ def _recover(spec: CaseSpec, tau: TauSpec, degree: int, witness: CompositeLabel)
 
 def verify_witness(spec: CaseSpec, tau: TauSpec, verdict: Verdict) -> bool:
     """Rebuild every production route of the witness from the whole product
-    series (``product_terms``, independent of the block walks and the join
-    of ``production_routes``), and confirm they reproduce the recorded
-    routes and multiplicity."""
+    series (``product_terms`` of ``spec``; for II and VIII independent of the
+    block cut and join of ``production_routes``), and confirm they reproduce
+    the recorded routes and multiplicity."""
     if not verdict.multiplicity_found:
         return True
     recomputed = [
@@ -306,7 +297,8 @@ def _is_constant(weight: tuple[int, ...]) -> bool:
 
 
 def expected_verdict(spec: CaseSpec, tau: TauSpec) -> ExpectedVerdict:
-    """The published classification of commutative triples for this family."""
+    """The published classification of commutative triples for this family;
+    a case with no row (the II half ``IIh``) is a ``ValueError``."""
     cid = spec.case_id
     if cid == "I":
         sp_label = tau.label("sp")
@@ -336,7 +328,11 @@ def expected_verdict(spec: CaseSpec, tau: TauSpec) -> ExpectedVerdict:
             if f.family != "circle"
         )
         return ExpectedVerdict(ok)
-    return ExpectedVerdict(True)
+    if cid == "IX":
+        # every tau: Sym^r (x) tau is multiplicity free by Pieri's rule, and
+        # its constituents have weight sum |tau| + r, so distinct r never meet
+        return ExpectedVerdict(True)
+    raise ValueError(f"no reference row for case {cid!r}")
 
 
 @dataclass(frozen=True)

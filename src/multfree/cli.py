@@ -55,6 +55,18 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+class _Once(argparse.Action):
+    """Store an option's value, and refuse the option given twice: argparse
+    would keep the last value and silently drop the first (exit 2)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given_once", set())
+        if self.dest in given:
+            parser.error(f"argument {option_string}: given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _parse_weight_groups(raw: list[str]) -> list[tuple[int, ...]]:
     """Weights separated by ``--``; an empty group is the empty weight."""
     groups: list[list[int]] = [[]]
@@ -277,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("case", help="I..IX")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--k1", type=int)
-    p.add_argument("--k2", type=int)
+    p.add_argument("--n", type=int, action=_Once)
+    p.add_argument("--k", type=int, action=_Once)
+    p.add_argument("--k1", type=int, action=_Once)
+    p.add_argument("--k2", type=int, action=_Once)
     p.add_argument("--m", type=int, action="append", help="su-block size (repeatable, case VIII)")
     p.add_argument("--kn", action="append", help="su2-block 'k,n' (repeatable, case VIII)")
-    p.add_argument("--tau", help="factor=weights,... in canonical factor order")
-    p.add_argument("--degree", type=_nonnegative, default=None)
+    p.add_argument("--tau", action=_Once, help="factor=weights,... in canonical factor order")
+    p.add_argument("--degree", type=_nonnegative, action=_Once, default=None)
     p.add_argument("--witness", action="store_true", help="print production routes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
@@ -293,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-theorem1",
         help="cross-check the classifier against the reference table on a small grid",
     )
-    p.add_argument("--bound", type=_nonnegative, default=2, help="max weight size per tau factor")
-    p.add_argument("--degree", type=_nonnegative, default=6, help="truncation degree (default 6)")
-    p.add_argument("--cases", help="comma-separated subset of I..IX")
+    p.add_argument("--bound", type=_nonnegative, action=_Once, default=2, help="max weight size per tau factor")
+    p.add_argument("--degree", type=_nonnegative, action=_Once, default=6, help="truncation degree (default 6)")
+    p.add_argument("--cases", action=_Once, help="comma-separated subset of I..IX")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -48,11 +48,10 @@ from multfree.irreps import decompose_product, sp, u
 
 @pytest.fixture
 def cold_scans():
-    # row decisions and block scans are memoised across calls; a test that
-    # records the terms a scan draws starts from empty memos, so that every
-    # row is decided and every scan runs
+    # row and block decisions are memoised across calls; a test that records
+    # the terms a scan draws starts from an empty memo, so that every row is
+    # decided and every block scan runs
     classify_mod._decide.cache_clear()
-    classify_mod._scan.cache_clear()
 
 
 def test_classify_case_i_witness_and_routes():
@@ -189,6 +188,9 @@ II_SPECS = (
     case_spec("II", k1=2, k2=1),
     case_spec("II", k1=0, k2=2),
 )
+# the nine-factor VIII spec of four blocks that stands at the frontier of
+# row sweeps: 2,592 rows at bound 1
+FRONTIER_SPEC = case_spec("VIII", m=(3, 4), kn=((2, 1), (1, 0)))
 
 
 def test_viii_block_decision_matches_full_series():
@@ -203,7 +205,7 @@ def test_viii_block_decision_matches_full_series():
             for _, _, lab, mult in product_terms(spec, tau, 6):
                 full[lab] += mult
             assert v.multiplicity_found == (max(full.values()) > 1), (str(spec), str(tau))
-            scans = [classify_mod._scan(b, t, 6)[1] for b, t in block_pieces(spec, tau)]
+            scans = [classify_mod._decide(b, t, 6)[0] for b, t in block_pieces(spec, tau)]
             block_degree = min((d for d in scans if d is not None), default=None)
             assert v.witness_degree == block_degree, (str(spec), str(tau))
     assert rows == 180
@@ -248,7 +250,7 @@ def test_blocks_tile_the_torus_and_u_slots():
     # each, in block order; cutting a label at those runs and joining the
     # pieces gives the label back
     specs = default_grid() + list(BEYOND_GRID_SPECS) + list(BLOCK_SPECS + II_SPECS)
-    specs += [case_spec("VIII", m=(3, 4), kn=((2, 1), (1, 0)))]
+    specs += [FRONTIER_SPEC]
     for spec in specs:
         runs = _block_runs(spec)
         coords = [c for run, _ in runs for c in run]
@@ -445,10 +447,8 @@ def test_scan_memo_is_transparent():
     cold = []
     for spec, tau, degree in rows:
         classify_mod._decide.cache_clear()
-        classify_mod._scan.cache_clear()
         cold.append(classify(spec, tau, degree).to_json())
     classify_mod._decide.cache_clear()
-    classify_mod._scan.cache_clear()
     warm = [classify(spec, tau, degree).to_json() for spec, tau, degree in reversed(rows)]
     assert warm[::-1] == cold
     assert any(v["verdict"] == "MultiplicityFound" for v in cold)
@@ -540,16 +540,13 @@ def test_scan_draws_one_series_per_tau_modulo_characters(monkeypatch, cold_scans
 def test_row_with_a_character_adds_no_block_scan(cold_scans):
     # classify splits tau's characters off before deciding the row, so rows
     # that differ from a decided one only by a circle weight or a determinant
-    # power meet the decision memo and never reach a block scan
+    # power meet the decision memo once each and never reach a block: no
+    # miss, no new entry, one hit per row
     spec = case_spec("VIII", m=(3,), kn=((1, 0),))
     classify(spec, tau_spec(spec, **{"su.1": (1,)}), 6)
-    before = classify_mod._scan.cache_info()
     decided = classify_mod._decide.cache_info()
     for characters in ({"s1.1": 2}, {"s1.1": 2, "u.1": (-1,)}):
         classify(spec, tau_spec(spec, **{"su.1": (1,)}, **characters), 6)
-    after = classify_mod._scan.cache_info()
-    assert (after.misses, after.currsize) == (before.misses, before.currsize)
-    assert after.hits == before.hits
     now = classify_mod._decide.cache_info()
     assert (now.misses, now.currsize) == (decided.misses, decided.currsize)
     assert now.hits == decided.hits + 2
@@ -709,6 +706,16 @@ def test_expected_verdict_table():
     assert expected_verdict(s9, tau_spec(s9, u=(1, -1))).commutative
 
 
+def test_expected_verdict_refuses_a_case_without_a_row():
+    # the table has a row per family and none for the private II half: a
+    # half must not pass as commutative, which would flag its witnesses as
+    # contradictions
+    for half, _ in blocks(case_spec("II", k1=1, k2=1)):
+        assert half.case_id == "IIh"
+        with pytest.raises(ValueError, match="IIh"):
+            expected_verdict(half, tau_spec(half))
+
+
 def test_cross_check_examples():
     s1 = case_spec("I", n=2)
     row = cross_check(s1, tau_spec(s1, su2=(2,)), 6)
@@ -839,9 +846,36 @@ def test_beyond_grid_consistent():
     assert not bad, bad[:5]
 
 
+def test_frontier_sweep_decides_each_key_once(monkeypatch):
+    # the decision memo has no bound, so a multi-block grid never decides a
+    # key twice: the bound-1 sweep of the nine-factor frontier spec holds 96
+    # distinct character-free rows, cut into 18 distinct block pieces, and
+    # from an empty memo each of the 114 keys is cut and decided once
+    calls = Counter()
+    real = classify_mod.block_pieces
+
+    def counted(spec, tau):
+        calls[spec, tau] += 1
+        return real(spec, tau)
+
+    monkeypatch.setattr(classify_mod, "block_pieces", counted)
+    classify_mod._decide.cache_clear()
+    rows = sweep(FRONTIER_SPEC, 1, 6)
+    assert len(rows) == 2592
+    bad = [(str(r.tau), r.consistency) for r in rows if r.consistency != CONSISTENT]
+    assert not bad, bad[:5]
+    info = classify_mod._decide.cache_info()
+    assert info.misses == info.currsize == 114
+    assert sum(calls.values()) == len(calls) == 114
+    assert sum(spec == FRONTIER_SPEC for spec, _ in calls) == 96
+
+
 def test_tau_entries_have_distinct_torus_vectors():
-    # production_routes keys tau entries by torus vector, so no two entries
-    # of one tau may share one: 3,619 rows of the grid and the shapes beyond
+    # tau_entries puts each torus factor's weight system, which folds equal
+    # weights into one multiplicity, on coordinates that factor alone owns,
+    # so no two entries of one tau share a torus vector: 3,619 rows of the
+    # grid and the shapes beyond.  Route recovery filters product_terms and
+    # does not rely on it
     for spec in default_grid() + list(BEYOND_GRID_SPECS):
         for tau in tau_candidates(spec, 2):
             tori = [te.torus for te in tau_entries(spec, tau)]
@@ -891,11 +925,7 @@ def test_sweep_recovers_no_routes(monkeypatch):
     "spec, weights, degree",
     [
         # the frontier row: four blocks, and tau weights on three of them
-        (
-            case_spec("VIII", m=(3, 4), kn=((2, 1), (1, 0))),
-            {"s1.1": 2, "u.1": (1, 0), "sp.1": (1,)},
-            6,
-        ),
+        (FRONTIER_SPEC, {"s1.1": 2, "u.1": (1, 0), "sp.1": (1,)}, 6),
         (case_spec("II", k1=2, k2=1), {"su2a": (1,), "spa": (1, 0), "su2b": (1,)}, 6),
     ],
     ids=str,
@@ -998,7 +1028,7 @@ def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(cases_mod, "blocks", counted)
-    memos = (factors, omega_entries, cases_mod._block_positions, classify_mod._decide, classify_mod._scan)
+    memos = (factors, omega_entries, cases_mod._block_positions, classify_mod._decide)
     for memo in memos:
         memo.cache_clear()
     rows = [row for spec in CHARACTER_SPECS for row in sweep(spec, 2, 6)]
@@ -1009,24 +1039,35 @@ def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
 
 def test_reference_sweep_decides_each_character_free_row_once(monkeypatch):
     # the 647 rows of the reference sweep hold 249 distinct (spec,
-    # character-free tau, degree) keys: each is cut into its blocks once, and
-    # the 165 distinct block scans run once each, from empty memos
+    # character-free tau, degree) keys, which with their block pieces make
+    # 258 distinct decisions: each is cut into its blocks once and decided
+    # once, from empty memos, and the 165 of them that are single blocks
+    # each scan their series once
     calls = Counter()
     real = classify_mod.block_pieces
+    scans = Counter()
+    real_terms = classify_mod.product_terms
 
     def counted(spec, tau):
         calls[spec, tau] += 1
         return real(spec, tau)
 
+    def counted_terms(spec, tau, degree):
+        scans[spec, tau, degree] += 1
+        return real_terms(spec, tau, degree)
+
     monkeypatch.setattr(classify_mod, "block_pieces", counted)
-    memos = (factors, omega_entries, cases_mod._block_positions, classify_mod._decide, classify_mod._scan)
+    monkeypatch.setattr(classify_mod, "product_terms", counted_terms)
+    memos = (factors, omega_entries, cases_mod._block_positions, classify_mod._decide)
     for memo in memos:
         memo.cache_clear()
     irreps_mod.clear_caches()
     rows = [row for spec in default_grid() for row in sweep(spec, 2, 6)]
     assert len(rows) == 647
-    assert sum(calls.values()) == len(calls) == 249
-    assert classify_mod._scan.cache_info().misses == 165
+    assert sum(calls.values()) == len(calls) == 258
+    info = classify_mod._decide.cache_info()
+    assert info.misses == info.currsize == 258
+    assert sum(scans.values()) == len(scans) == 165
 
 
 def test_vii_u_condition_derivation():

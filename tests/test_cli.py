@@ -294,6 +294,25 @@ def test_classify_repeated_tau_factor_exits_2(capsys, tau, key):
     assert err.strip() == f"error: tau factor {key!r} given twice"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("classify", "I", "--n", "2", "--tau", "su2=1", "--tau", "sp=1"), "--tau"),
+        (("classify", "I", "--n", "2", "--n", "3", "--tau", "sp=1"), "--n"),
+        (("verify-theorem1", "--bound", "1", "--bound", "0"), "--bound"),
+    ],
+)
+def test_repeated_single_valued_option_exits_2(capsys, argv, option):
+    # argparse would keep the last value: ``--tau su2=1 --tau sp=1`` would
+    # drop su2=1 and call the row commutative
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].endswith(f"argument {option}: given more than once")
+
+
 def test_verify_small_grid(capsys):
     code, out, _ = run_cli(
         capsys, "verify-theorem1", "--bound", "1", "--degree", "4", "--cases", "I,IV"
