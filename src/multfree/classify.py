@@ -134,6 +134,13 @@ def deg_window(spec: CaseSpec, tau: TauSpec) -> int:
     return tau.weight_size() + 4
 
 
+def _check_tau(spec: CaseSpec, tau: TauSpec) -> None:
+    """A tau built for another spec is a ValueError.  Every sweep passes the
+    very spec object its taus were built for, so identity is tested first."""
+    if tau.spec is not spec and tau.spec != spec:
+        raise ValueError(f"tau is built for {tau.spec}, not for {spec}")
+
+
 def _split_characters(spec: CaseSpec, tau: TauSpec) -> tuple[TauSpec, tuple]:
     """Tau with its one-dimensional characters of K made trivial (tau itself
     when it carries none), and those characters as (factor, c) pairs.
@@ -252,8 +259,10 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
     that block, by the formula above at e = D (``cases.production_routes``).
     One recovery fills both on the first read of either, so a caller that
     reads only the verdict, the witness and its degree (``cross_check``,
-    ``sweep``) never recovers them.
+    ``sweep``) never recovers them.  A tau built for another spec is a
+    ``ValueError``.
     """
+    _check_tau(spec, tau)
     free, chars = _split_characters(spec, tau)
     if degree is None:
         degree = deg_window(spec, free)
@@ -278,7 +287,9 @@ def verify_witness(spec: CaseSpec, tau: TauSpec, verdict: Verdict) -> bool:
     """Rebuild every production route of the witness from the whole product
     series (``product_terms`` of ``spec``; for II and VIII independent of the
     block cut and join of ``production_routes``), and confirm they reproduce
-    the recorded routes and multiplicity."""
+    the recorded routes and multiplicity.  A tau built for another spec is a
+    ``ValueError``."""
+    _check_tau(spec, tau)
     if not verdict.multiplicity_found:
         return True
     recomputed = [
@@ -298,7 +309,9 @@ def _is_constant(weight: tuple[int, ...]) -> bool:
 
 def expected_verdict(spec: CaseSpec, tau: TauSpec) -> ExpectedVerdict:
     """The published classification of commutative triples for this family;
-    a case with no row (the II half ``IIh``) is a ``ValueError``."""
+    a case with no row (the II half ``IIh``), or a tau built for another
+    spec, is a ``ValueError``."""
+    _check_tau(spec, tau)
     cid = spec.case_id
     if cid == "I":
         sp_label = tau.label("sp")

@@ -17,7 +17,7 @@ circle   a single integer r: type A of rank 1, whose character is x^r.
 
 Every character comes from Freudenthal's formula on the Weyl data of its
 family: type A (su, u, circle), C (sp) or D (so), with the integer weights
-of the standard torus and rho as in ``_weyl_data``.
+of the standard torus and rho as in ``_algebra``.
 
 ``decompose_product`` is the oracle used to check every closed-form rule in
 the package; each pairwise step applies the Brauer-Klimyk rule
@@ -27,11 +27,11 @@ character product as an independent reference oracle.
 
 All operations are pure functions over immutable values.  Two label memos
 (pairwise tensor products and characters) behave as if absent, and
-``clear_caches`` empties both.  The constants of each algebra (Weyl kind and
-rho, positive roots, coordinate index pairs, the denominator of the Weyl
-dimension formula) are built once per (kind or family, rank) and
-kept for the life of the process; they are not label memos, hold no label,
-and ``clear_caches`` does not empty them.
+``clear_caches`` empties both.  The constants of each algebra (Weyl kind,
+rho, positive roots, coordinate index pairs and the denominator of the Weyl
+dimension formula) are one record, ``_algebra``, built once per (family,
+rank) and kept for the life of the process; it is not a label memo, holds no
+label, and ``clear_caches`` does not empty it.
 """
 
 from __future__ import annotations
@@ -85,14 +85,18 @@ class _IrrepFields(NamedTuple):
 class IrrepLabel(ValidatedTuple, _IrrepFields):
     """An irreducible label: a tuple (family, rank, weight), validated and
     normalised when built, hashed as that tuple and ordered by family, then
-    rank, then weight."""
+    rank, then weight.  A weight entry that is not an int (a float, a string
+    or a bool, which ``int`` would truncate or convert) raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int, weight: Iterable[int]) -> "IrrepLabel":
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        w = tuple(map(int, weight))
+        w = tuple(weight)
+        for x in w:
+            if type(x) is not int:
+                raise ValueError(f"weight entries must be ints, got {x!r}")
         if family == "su":
             if rank < 2:
                 raise ValueError("su rank must be >= 2")
@@ -244,8 +248,8 @@ class FormalSum:
 # ---------------------------------------------------------------------------
 # Weyl data
 #
-# Each ``lru_cache`` table of this module holds constants of one algebra, one
-# entry per (kind or family, rank) met (see the module docstring).
+# ``_algebra`` is the one ``lru_cache`` table of this module: the constants of
+# one algebra per (family, rank) met (see the module docstring).
 
 # Weyl groups: permutations (A; the circle is A of rank 1), signed
 # permutations (C), and those with an even number of sign changes (D)
@@ -253,36 +257,40 @@ _WEYL_KIND = {"su": "A", "u": "A", "circle": "A", "sp": "C", "so": "D"}
 
 
 @lru_cache(maxsize=None)
-def _algebra(family: str, rank: int) -> tuple[str, tuple[int, ...]]:
-    """Weyl group kind and rho of a family at a rank; su works on the u(m)
-    lift, so its rho is that of u(m)."""
+def _algebra(family: str, rank: int) -> tuple[str, tuple, tuple, tuple, int]:
+    """The constants of a family at a rank, (kind, rho, roots, pairs, den):
+    its Weyl group kind, rho, the positive roots, the coordinate pairs i < j
+    and the Weyl product of rho, the denominator of the dimension formula.
+    su works on the u(m) lift, so its constants are those of u(m).  The pairs
+    and the denominator come from rho alone, not from the roots."""
+    kind = _WEYL_KIND[family]
     top = rank if family == "sp" else rank - 1
-    return _WEYL_KIND[family], tuple(range(top, top - rank, -1))
+    rho = tuple(range(top, top - rank, -1))
+    pairs = tuple(itertools.combinations(range(rank), 2))
+    return kind, rho, _positive_roots(kind, rank), pairs, _weyl_product(family, rho, pairs)
 
 
-def _weyl_data(label: IrrepLabel) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """Weyl group kind, rho and the weight padded to the rank: su and sp
-    labels are partitions, and su works on the u(m) lift with last entry 0."""
-    kind, rho = _algebra(label.family, label.rank)
-    w = label.weight
-    return kind, rho, w + (0,) * (label.rank - len(w))
-
-
-@lru_cache(maxsize=None)
-def _index_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The coordinate pairs i < j of an n-vector."""
-    return tuple(itertools.combinations(range(n), 2))
-
-
-@lru_cache(maxsize=None)
 def _positive_roots(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
     """e_i - e_j for i < j; also e_i + e_j for C and D; also 2e_i for C."""
-    pairs = _index_pairs(n)
+    pairs = list(itertools.combinations(range(n), 2))
     signs = (-1,) if kind == "A" else (-1, 1)
     roots = [tuple((k == i) + s * (k == j) for k in range(n)) for s in signs for i, j in pairs]
     if kind == "C":
         roots += [tuple(2 * (k == i) for k in range(n)) for i in range(n)]
     return tuple(roots)
+
+
+def _weyl_product(family: str, l: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> int:
+    """The Weyl product of l = w + rho, written out for each family apart
+    from the roots and the characters: the product over the index pairs
+    i < j of l_i - l_j (su, u) or of l_i^2 - l_j^2 (sp, so), times every l_i
+    for sp."""
+    num = prod(l) if family == "sp" else 1
+    if family in ("sp", "so"):
+        l = [x * x for x in l]
+    for i, j in pairs:
+        num *= l[i] - l[j]
+    return num
 
 
 def _is_dominant(kind: str, v: tuple[int, ...]) -> bool:
@@ -357,8 +365,10 @@ def weyl_character(label: IrrepLabel) -> LaurentPoly:
     """
     if label in _CHAR_CACHE:
         return _CHAR_CACHE[label]
-    kind, rho, lam = _weyl_data(label)
-    roots = _positive_roots(kind, len(lam))
+    fam, rank, w = label
+    kind, rho, roots, _, _ = _algebra(fam, rank)
+    # su and sp weights are partitions: the missing entries are 0
+    lam = w + (0,) * (rank - len(w))
     found, todo = {lam}, [lam]
     while todo:
         mu = todo.pop()
@@ -388,28 +398,6 @@ def weyl_character(label: IrrepLabel) -> LaurentPoly:
     return poly
 
 
-def _weyl_product(family: str, l: tuple[int, ...], pairs: tuple[tuple[int, int], ...]) -> int:
-    """The Weyl product of l = w + rho, written out for each family apart
-    from the roots and the characters: the product over the index pairs
-    i < j of l_i - l_j (su, u) or of l_i^2 - l_j^2 (sp, so), times every l_i
-    for sp."""
-    num = prod(l) if family == "sp" else 1
-    if family in ("sp", "so"):
-        l = [x * x for x in l]
-    for i, j in pairs:
-        num *= l[i] - l[j]
-    return num
-
-
-@lru_cache(maxsize=None)
-def _dimension_data(family: str, rank: int) -> tuple[tuple[int, ...], tuple, int]:
-    """Rho, the coordinate index pairs and the Weyl product of rho, the
-    denominator of the dimension formula."""
-    rho = _algebra(family, rank)[1]
-    pairs = _index_pairs(rank)
-    return rho, pairs, _weyl_product(family, rho, pairs)
-
-
 def dimension(label: IrrepLabel) -> int:
     """Dimension from the Weyl product formula, independent of the
     characters and of the root table: the Weyl product of the weight over
@@ -417,7 +405,7 @@ def dimension(label: IrrepLabel) -> int:
     fam, rank, w = label
     if fam == "circle":
         return 1
-    rho, pairs, den = _dimension_data(fam, rank)
+    _, rho, _, pairs, den = _algebra(fam, rank)
     # su and sp weights are partitions: the missing entries are 0
     d, rem = divmod(_weyl_product(fam, (*map(add, w, rho), *rho[len(w) :]), pairs), den)
     if rem:
@@ -433,14 +421,11 @@ def weight_system(label: IrrepLabel) -> dict[tuple[int, ...], int]:
     weight is normalised to 0 and dropped.
     """
     poly = weyl_character(label)
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in poly.items():
-        if label.family == "su":
-            v = tuple(x - e[-1] for x in e[:-1])
-        else:
-            v = e
-        out[v] = out.get(v, 0) + c
-    return out
+    if label.family != "su":
+        return dict(poly.items())
+    # every weight of the u(m) lift has entry sum |lambda|, so it is
+    # determined by its entries less the last one: the map is one-to-one
+    return {tuple(x - e[-1] for x in e[:-1]): c for e, c in poly.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +434,7 @@ def weight_system(label: IrrepLabel) -> dict[tuple[int, ...], int]:
 _PAIR_CACHE: dict[tuple, dict[IrrepLabel, int]] = {}
 
 
-def _brauer_klimyk(kind: str, shifted: tuple[int, ...], rho: tuple[int, ...], weights) -> dict:
+def _brauer_klimyk(kind: str, pairs: tuple, shifted: tuple, rho: tuple, weights) -> dict:
     """The net coefficient of each dominant lam in the sum over the weights
     (mu, m) of m sign(w) [w(shifted + mu) - rho], where w takes shifted + mu
     into the dominant chamber.  Ordering the entries (A) or their absolute
@@ -457,9 +442,8 @@ def _brauer_klimyk(kind: str, shifted: tuple[int, ...], rho: tuple[int, ...], we
     one in C, puts the weight on a wall, where its term vanishes.  det(w) is
     the parity of the key inversions, plus the minus signs in C; in D the
     sign changes come in pairs, and an odd number of minus signs leaves the
-    last entry negative."""
+    last entry negative.  ``pairs`` are the coordinate pairs i < j."""
     n = len(shifted)
-    pairs = _index_pairs(n)
     net: dict[tuple[int, ...], int] = {}
     for mu, m in weights:
         v = tuple(map(add, shifted, mu))
@@ -502,10 +486,11 @@ def tensor_pair(a: IrrepLabel, b: IrrepLabel) -> dict[IrrepLabel, int]:
     dim_a, dim_b = dimension(a), dimension(b)
     if dim_b > dim_a:
         a, b = b, a
-    kind, rho, lam_a = _weyl_data(a)
-    shifted = tuple(map(add, lam_a, rho))
+    kind, rho, _, pairs, _ = _algebra(fam, rank)
+    # a + rho, with a partition's missing entries 0, as in ``dimension``
+    shifted = (*map(add, a.weight, rho), *rho[len(a.weight) :])
     result = {}
-    for lam, c in _brauer_klimyk(kind, shifted, rho, weyl_character(b).items()).items():
+    for lam, c in _brauer_klimyk(kind, pairs, shifted, rho, weyl_character(b).items()).items():
         if c < 0:
             raise OracleError(f"negative multiplicity {c} at {lam} in {a} (x) {b}")
         if c:
@@ -545,7 +530,7 @@ def decompose_product(labels: Iterable[IrrepLabel]) -> FormalSum:
 
 # ---------------------------------------------------------------------------
 # memo reset (each process starts with empty memos); the per-algebra
-# constants of the Weyl data section hold no label and stay
+# record of the Weyl data section holds no label and stays
 
 
 def clear_caches() -> None:

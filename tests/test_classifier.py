@@ -777,6 +777,30 @@ def test_sweep_case_iv_nontrivial_all_found():
         assert r.verdict.multiplicity_found == (not r.tau.is_trivial)
 
 
+def test_a_tau_for_another_spec_is_refused():
+    # a tau names its factors by the spec it was built for: read against
+    # another spec, a row was classified silently, or died on a missing
+    # factor key; an equal spec built apart is the same spec
+    vii, ix = case_spec("VII", k=1, n=0), case_spec("IX", n=1)
+    tau = tau_spec(ix, u=(1,))
+    i2, i3 = case_spec("I", n=2), case_spec("I", n=3)
+    witness_tau = tau_spec(i2, su2=(1,), sp=(1,))
+    verdict = classify(i2, witness_tau, 4)
+    assert verdict.multiplicity_found
+    refused = [
+        lambda: classify(vii, tau, 4),
+        lambda: cross_check(vii, tau, 4),
+        lambda: expected_verdict(vii, tau),
+        lambda: verify_witness(i3, witness_tau, verdict),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="tau is built for"):
+            call()
+    same = case_spec("IX", n=1)
+    assert same is not ix and cross_check(same, tau, 4).consistency == CONSISTENT
+    assert verify_witness(case_spec("I", n=2), witness_tau, verdict)
+
+
 def test_witness_degree_within_default_window():
     # empirical bound behind the default truncation window: every witness on
     # the verification grid appears within the weight size of tau, without
@@ -844,6 +868,55 @@ def test_beyond_grid_consistent():
     assert len(rows) == 2972
     bad = [(str(r.spec), str(r.tau), r.consistency) for r in rows if r.consistency != CONSISTENT]
     assert not bad, bad[:5]
+
+
+# rank ladders: the paper classifies every n, the grids stop at rank 4
+RANK_LADDERS = {
+    "I": range(1, 7),
+    "III": range(1, 7),
+    "IX": range(1, 7),
+    "IV": range(2, 7),
+    "V": range(3, 7),
+    "VI": range(3, 7),
+}
+
+
+def test_rank_ladders_settle_the_witness_degree():
+    # the bound-3, degree-7 sweep of each ladder is CONSISTENT, and the
+    # witness degree of a tau depends only on its pattern, each weight with
+    # its zero entries dropped, not on n.  IV has two exceptions.  At n = 2,
+    # so(4) = su(2) x su(2) is not simple: so=(1,1) has witness degree 2
+    # there, and 0 from n = 3 on.  And a weight with a_n != 0 is half of a
+    # form, whose other half a_n -> -a_n is a distinct label only at that n:
+    # so=(1,1,1) has witness degree 1 at n = 3, but (1,1,1,0,...) has degree
+    # 0 for n >= 4.  So IV is compared from n = 3, on the weights whose last
+    # entry is 0.  A pattern whose degree moves with n is a finding to
+    # derive, never a rank to drop.
+    for n, weight, degree in (
+        (2, (1, 1), 2),
+        (3, (1, 1, 0), 0),
+        (3, (1, 1, 1), 1),
+        (4, (1, 1, 1, 0), 0),
+    ):
+        spec = case_spec("IV", n=n)
+        assert classify(spec, tau_spec(spec, so=weight), 7).witness_degree == degree, (n, weight)
+    rows, patterns = 0, {}
+    for cid, ranks in RANK_LADDERS.items():
+        degrees = {}
+        for n in ranks:
+            spec = case_spec(cid, n=n)
+            for row in sweep(spec, 3, 7):
+                rows += 1
+                assert row.consistency == CONSISTENT, (str(spec), str(row.tau))
+                if cid == "IV" and (n == 2 or row.tau.label("so").weight[-1]):
+                    continue
+                pattern = tuple(tuple(x for x in lab.weight if x) for lab in row.tau.labels)
+                degrees.setdefault(pattern, {})[n] = row.verdict.witness_degree
+        moved = {p: d for p, d in degrees.items() if len(set(d.values())) > 1}
+        assert not moved, (cid, moved)
+        patterns[cid] = len(degrees)
+    assert rows == 888
+    assert patterns == {"I": 28, "III": 42, "IX": 18, "IV": 7, "V": 49, "VI": 49}
 
 
 def test_frontier_sweep_decides_each_key_once(monkeypatch):

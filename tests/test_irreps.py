@@ -23,7 +23,7 @@ from multfree.irreps import (
     weight_system,
     weyl_character,
 )
-from multfree.cases import CompositeLabel, factor_weights
+from multfree.cases import CompositeLabel, case_spec, factor_weights, tau_spec
 from multfree.partitions import all_partitions
 
 
@@ -41,6 +41,22 @@ def test_label_validation():
     with pytest.raises(ValueError):
         IrrepLabel("bogus", 2, ())
     assert IrrepLabel("sp", 3, (2, 1, 0)).weight == (2, 1)
+
+
+def test_label_weights_are_ints_only():
+    # int() would truncate 2.9 and 1.7 and read "2" and True as 2 and 1; a
+    # weight entry that is not an int is refused, as FormalSum refuses such a
+    # multiplicity, on every way a label is built
+    for bad in (2.9, 1.7, "2", True):
+        with pytest.raises(ValueError, match="must be ints"):
+            sp(2, bad)
+        with pytest.raises(ValueError, match="must be ints"):
+            IrrepLabel("u", 2, (1, bad))
+        with pytest.raises(ValueError, match="must be ints"):
+            tau_spec(case_spec("I", n=2), sp=(bad,))
+    with pytest.raises(ValueError, match="must be ints"):
+        IrrepLabel("sp", 2, "11")
+    assert sp(2, 2) == IrrepLabel("sp", 2, [2, 0]) == IrrepLabel("sp", 2, iter((2,)))
 
 
 def test_labels_are_validated_tuples():
@@ -428,16 +444,23 @@ def cold_memos():
 def test_a_missing_root_kind_is_caught(monkeypatch, cold_memos, label, dropped):
     # with one kind of positive root left out, Freudenthal's formula either
     # meets a remainder or builds a wrong character, which a cold tensor_pair
-    # then reports as a negative multiplicity or a dimension leak
+    # then reports as a negative multiplicity or a dimension leak; the
+    # per-algebra record is rebuilt around the patch, so it reads the patched
+    # roots and no mutated record outlives the test
     full = irreps._positive_roots
     drop = _ROOT_KINDS[dropped]
     assert any(drop(r) for r in full(irreps._WEYL_KIND[label.family], label.rank))
-    monkeypatch.setattr(
-        irreps, "_positive_roots", lambda kind, n: [r for r in full(kind, n) if not drop(r)]
-    )
-    with pytest.raises(OracleError):
-        weyl_character(label)
-        tensor_pair(label, label)
+    irreps._algebra.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                irreps, "_positive_roots", lambda kind, n: [r for r in full(kind, n) if not drop(r)]
+            )
+            with pytest.raises(OracleError):
+                weyl_character(label)
+                tensor_pair(label, label)
+    finally:
+        irreps._algebra.cache_clear()
 
 
 def test_high_rank_orbits_are_enumerated_without_repeats():
