@@ -25,11 +25,11 @@ non-circle intertwiner factors).  The families are:
 
 The block layout is written once, in ``blocks(spec)``: the VI and VII
 block specs of family VIII, the two halves of family II, and any other spec
-as its own single block.  ``factors`` places every spec's factors block by
+as its own single block.  ``_layout`` places every spec's factors block by
 block, so each block owns a contiguous run of torus coordinates and of
 u-slots.  The split of tau and of labels per block, the whole II and VIII
 series (one graded product of the block series) and route recovery (each
-block's ``product_terms`` filtered to its cut of the witness, joined) all
+block's productions that reach its cut of the witness, joined) all
 derive from it.  The route parameters of
 a II term are its halves' (l, r), read as (l1, r) and (l2, s).
 
@@ -45,9 +45,9 @@ circle direction with the determinant direction of u(n), which both misses
 genuine collisions (the su-weight constructions of the source families) and
 invents spurious ones.
 
-All builders are pure; factor layouts and block positions are cached per
-case, and omega entry lists per (case, degree bound).  Block layouts are
-not: their readers are cached themselves or run once per witness.
+All builders are pure.  One layout record per case (``_layout``: factors,
+key and block positions, character slots) and omega entry lists per (case,
+degree bound) are cached; ``blocks`` is read once per layout record.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
 from .irreps import (
@@ -73,16 +73,34 @@ from .irreps import (
 CASE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class _CaseFields(NamedTuple):
     case_id: str
     params: tuple[tuple[str, object], ...]
 
-    def __getitem__(self, key: str):
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
+
+def _is_int_param(value) -> bool:  # an int, or a tuple of such values; not a bool
+    return type(value) is int or (type(value) is tuple and all(map(_is_int_param, value)))
+
+
+class CaseSpec(ValidatedTuple, _CaseFields):
+    """A case: a tuple (case_id, params) of (name, value) pairs, hashed and
+    compared as that tuple; ``spec[name]`` reads a value.  A value that is
+    not an int or a tuple of them (a float, a string or a bool) raises
+    ValueError.  ``case_spec`` checks ranges; ``blocks`` builds ``IIh``."""
+
+    __slots__ = ()
+
+    def __new__(cls, case_id: str, params: Iterable[tuple[str, object]]) -> "CaseSpec":
+        params = tuple((k, v) for k, v in params)
+        for k, v in params:
+            if not _is_int_param(v):
+                raise ValueError(f"case parameter {k} must be an int or a tuple of ints, got {v!r}")
+        return tuple.__new__(cls, (case_id, params))
+
+    def __getitem__(self, key):
+        if type(key) is not str:  # an index or a slice of the tuple
+            return tuple.__getitem__(self, key)
+        return dict(self.params)[key]
 
     def to_json(self) -> dict:
         out = {"case": self.case_id}
@@ -108,30 +126,30 @@ def case_spec(case_id: str, **kwargs) -> CaseSpec:
         if key not in names:
             raise ValueError(f"case {case_id} takes no parameter {key!r}")
     if case_id == "VIII":
-        m = tuple(int(x) for x in kwargs.get("m", ()))
-        kn = tuple((int(k), int(n)) for k, n in kwargs.get("kn", ()))
-        if any(x < 3 for x in m):
+        kn = tuple((k, n) for k, n in kwargs.get("kn", ()))
+        spec = CaseSpec("VIII", (("kn", kn), ("m", tuple(kwargs.get("m", ())))))
+        if any(x < 3 for x in spec["m"]):
             raise ValueError("case VIII needs every m_i >= 3")
         if any(k < 1 or n < 0 for k, n in kn):
             raise ValueError("case VIII needs k_j >= 1 and n_j >= 0")
-        if not m and not kn:
+        if not kn and not spec["m"]:
             raise ValueError("case VIII needs at least one block")
-        return CaseSpec("VIII", (("kn", kn), ("m", m)))
+        return spec
     for key in names:
         if key not in kwargs:
             raise ValueError(f"case {case_id} needs {key}")
-    p = {key: int(kwargs[key]) for key in names}
+    spec = CaseSpec(case_id, ((key, kwargs[key]) for key in names))
     if case_id == "II":
-        ok = p["k1"] >= 0 and p["k2"] >= 0 and p["k1"] + p["k2"] >= 1
+        ok = spec["k1"] >= 0 and spec["k2"] >= 0 and spec["k1"] + spec["k2"] >= 1
         rule = "k1, k2 >= 0 with k1 + k2 >= 1"
     elif case_id == "VII":
-        ok, rule = p["k"] >= 1 and p["n"] >= 0, "k >= 1 and n >= 0"
+        ok, rule = spec["k"] >= 1 and spec["n"] >= 0, "k >= 1 and n >= 0"
     else:
         least = {"IV": 2, "V": 3, "VI": 3}.get(case_id, 1)
-        ok, rule = p["n"] >= least, f"n >= {least}"
+        ok, rule = spec["n"] >= least, f"n >= {least}"
     if not ok:
         raise ValueError(f"case {case_id} takes {rule}")
-    return CaseSpec(case_id, tuple(p.items()))
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +206,42 @@ def blocks(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[str, ...]], ...]:
     return tuple((b, tuple(f[0] + tag for f in _block_factors(b))) for b, tag in tagged)
 
 
+class _Layout(NamedTuple):
+    factors: tuple[Factor, ...]
+    index: MappingProxyType[str, int]  # factor key -> position in ``factors``
+    blocks: tuple[tuple[CaseSpec, tuple[int, ...]], ...]  # positions per block
+    characters: tuple[tuple[int, Factor, IrrepLabel], ...]  # with trivial label
+
+
 @lru_cache(maxsize=None)
-def factors(spec: CaseSpec) -> tuple[Factor, ...]:
-    """Factors of K in canonical order, with their torus/u-slot placement:
-    each block's factors (``blocks``) take the next torus coordinates and
-    u-slots, then su factors come first, circles next and u-slots last, each
-    in block order."""
-    out, next_pos = [], {"torus": 0, "uslot": 0}
-    for block, keys in blocks(spec):
+def _layout(spec: CaseSpec) -> _Layout:
+    """The layout record of a spec, built once: its factors (each block's,
+    from ``blocks``, take the next torus coordinates and u-slots; then su
+    factors come first, circles next and u-slots last, each in block order),
+    the position of each factor key and of each block's factors, and the
+    (position, factor, trivial label) of each circle and u factor."""
+    placed, next_pos = [], {"torus": 0, "uslot": 0}
+    tagged = blocks(spec)
+    for block, keys in tagged:
         for key, (_, family, rank, kind) in zip(keys, _block_factors(block)):
-            out.append(Factor(key, family, rank, kind, next_pos[kind]))
+            placed.append(Factor(key, family, rank, kind, next_pos[kind]))
             next_pos[kind] += rank - (family == "su") if kind == "torus" else 1
-    return tuple(sorted(out, key=lambda f: (f.kind == "uslot", f.family == "circle")))
+    fs = tuple(sorted(placed, key=lambda f: (f.kind == "uslot", f.family == "circle")))
+    index = {f.key: i for i, f in enumerate(fs)}
+    positions = tuple((b, tuple(index[key] for key in keys)) for b, keys in tagged)
+    chars = tuple((i, f, trivial(f.family, f.rank)) for i, f in enumerate(fs) if f.family in ("circle", "u"))
+    return _Layout(fs, MappingProxyType(index), positions, chars)
 
 
-@lru_cache(maxsize=None)
-def _block_positions(spec: CaseSpec) -> tuple[tuple[CaseSpec, tuple[int, ...]], ...]:
-    """The blocks of a spec (``blocks``), each with the positions of its
-    factors in ``factors(spec)``."""
-    index = {f.key: i for i, f in enumerate(factors(spec))}
-    return tuple((b, tuple(index[key] for key in keys)) for b, keys in blocks(spec))
+def factors(spec: CaseSpec) -> tuple[Factor, ...]:
+    """Factors of K in canonical order, placed as ``_layout`` says."""
+    return _layout(spec).factors
 
 
 def block_pieces(spec: CaseSpec, tau: TauSpec) -> list[tuple[CaseSpec, TauSpec]]:
     """The blocks of a spec (``blocks``), each with its piece of tau.  A
     spec that is its own single block gets tau itself as its piece."""
-    positions = _block_positions(spec)
+    positions = _layout(spec).blocks
     if positions[0][0] == spec:
         return [(spec, tau)]
     return [(b, TauSpec(b, tuple(tau.labels[i] for i in pos))) for b, pos in positions]
@@ -223,7 +251,7 @@ def cut_label(spec: CaseSpec, label: CompositeLabel) -> list[CompositeLabel]:
     """One label per block of a spec, in block order: each block's run of
     torus coordinates and of u-slots.  ``join_labels`` undoes the cut."""
     out, t, u = [], 0, 0
-    for b, _ in _block_positions(spec):
+    for b, _ in _layout(spec).blocks:
         dt, du = torus_dim(b), sum(f.kind == "uslot" for f in factors(b))
         out.append(CompositeLabel(label.torus[t : t + dt], label.ulabels[u : u + du]))
         t, u = t + dt, u + du
@@ -259,13 +287,10 @@ class TauSpec(ValidatedTuple, _TauFields):
         for f, lab in zip(fs, labels):
             if lab.family != f.family or lab.rank != f.rank:
                 raise ValueError(f"factor {f.key} needs family {f.family}({f.rank}), got {lab}")
-        return super().__new__(cls, spec, labels)
+        return tuple.__new__(cls, (spec, labels))
 
     def label(self, key: str) -> IrrepLabel:
-        for f, lab in zip(factors(self.spec), self.labels):
-            if f.key == key:
-                return lab
-        raise KeyError(key)
+        return self.labels[_layout(self.spec).index[key]]
 
     @property
     def ulabels(self) -> tuple[IrrepLabel, ...]:
@@ -280,11 +305,7 @@ class TauSpec(ValidatedTuple, _TauFields):
         return sum(lab.weight_size() for lab in self.labels)
 
     def to_json(self) -> dict:
-        return {
-            f.key: list(lab.weight)
-            for f, lab in zip(factors(self.spec), self.labels)
-            if not lab.is_trivial
-        }
+        return {f.key: list(lab.weight) for f, lab in zip(factors(self.spec), self.labels) if not lab.is_trivial}
 
     def __str__(self) -> str:
         nontrivial = [
@@ -297,13 +318,12 @@ class TauSpec(ValidatedTuple, _TauFields):
 
 def tau_spec(spec: CaseSpec, **weights) -> TauSpec:
     """Build a TauSpec from per-factor weights; omitted factors are trivial."""
-    fs = factors(spec)
-    known = {f.key for f in fs}
+    known = _layout(spec).index
     for key in weights:
         if key not in known:
             raise ValueError(f"case {spec.case_id} has no factor {key!r}; expected {sorted(known)}")
     labels = []
-    for f in fs:
+    for f in factors(spec):
         if f.key in weights:
             w = weights[f.key]
             if isinstance(w, int):
@@ -547,6 +567,23 @@ def product_terms(
                 yield oe, te, CompositeLabel(t, ulabels), te.mult * mult
 
 
+def _reaching(spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel) -> list[tuple]:
+    """The (degree, omega params, tau weights, mult) of each production of a
+    block's ``product_terms`` that reaches ``target``: an omega entry is
+    decomposed only when a tau entry, indexed by torus, takes it there."""
+    by_torus: dict[tuple[int, ...], list[TauEntry]] = {}
+    for te in tau_entries(spec, tau):
+        by_torus.setdefault(te.torus, []).append(te)
+    out = []
+    for oe in omega_entries(spec, degree):
+        tentries = by_torus.get(tuple(map(operator.sub, target.torus, oe.torus)))
+        if tentries:
+            slots = zip(oe.ulabels, tau.ulabels, target.ulabels)
+            mult = math.prod(tensor_pair(a, b).get(lab, 0) for a, b, lab in slots)
+            out += [(oe.degree, oe.params, te.weights, te.mult * mult) for te in tentries if mult]
+    return out
+
+
 def production_routes(
     spec: CaseSpec, tau: TauSpec, degree: int, target: CompositeLabel
 ) -> list[dict]:
@@ -554,7 +591,7 @@ def production_routes(
     All (omega term, tau term) productions of ``target``, with
     multiplicities, from the block series alone: ``target`` is cut per
     block, and each block keeps the productions of its series with its piece
-    of tau (``product_terms``) that reach its cut of ``target``.
+    of tau that reach its cut of ``target`` (``_reaching``).
     A production of the whole series is one per block with degrees adding
     up to at most ``degree``; the blocks own disjoint torus coordinates and
     u-slots, so tau weights join and multiplicities multiply.  Params are
@@ -563,14 +600,8 @@ def production_routes(
     """
     if len(target.torus) != torus_dim(spec) or len(target.ulabels) != len(tau.ulabels):
         return []
-    found = [
-        [
-            (oe.degree, oe.params, te.weights, mult)
-            for oe, te, got, mult in product_terms(b, piece, degree)
-            if got == lab
-        ]
-        for (b, piece), lab in zip(block_pieces(spec, tau), cut_label(spec, target))
-    ]
+    pieces = zip(block_pieces(spec, tau), cut_label(spec, target))
+    found = [_reaching(b, piece, degree, lab) for (b, piece), lab in pieces]
     keys = [key for _, block_keys in blocks(spec) for key in block_keys]
     routes = []
     for d, picked in _graded_product(found, degree):

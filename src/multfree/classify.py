@@ -25,7 +25,8 @@ character-free rows and of the block pieces they are cut into, on (spec,
 tau, degree): rows that differ only by characters are decided once, blocks
 that recur across specs and rows are scanned once, and only a row that
 carries a character moves the witness.  Its values are immutable, so a
-shared entry cannot be changed by a caller.
+shared entry cannot be changed by a caller; nor can the one verdict that
+every multiplicity-free row at a degree shares (``_free_verdict``).
 
 ``expected_verdict`` encodes the published classification table for the
 nine families; ``cross_check`` compares it against the computed verdict and
@@ -46,13 +47,14 @@ from .cases import (
     TauSpec,
     block_pieces,
     case_spec,
+    _layout,
     factors,
     join_labels,
     product_terms,
     production_routes,
     tau_candidates,
 )
-from .irreps import IrrepLabel, trivial
+from .irreps import IrrepLabel
 
 CONSISTENT = "CONSISTENT"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -143,7 +145,8 @@ def _check_tau(spec: CaseSpec, tau: TauSpec) -> None:
 
 def _split_characters(spec: CaseSpec, tau: TauSpec) -> tuple[TauSpec, tuple]:
     """Tau with its one-dimensional characters of K made trivial (tau itself
-    when it carries none), and those characters as (factor, c) pairs.
+    when it carries none), and those characters as (factor, c) pairs, read
+    from the character slots of the layout record alone (``cases._layout``).
 
     Such a character is a circle weight c, which shifts the circle's torus
     coordinate by c, or a constant u(k) weight (c, ..., c), a determinant
@@ -159,18 +162,19 @@ def _split_characters(spec: CaseSpec, tau: TauSpec) -> tuple[TauSpec, tuple]:
     weights of the same rank, which are compared lexicographically.  The
     witness degree and the witness therefore move with it.
     """
-    chars, labels = [], []
-    for f, lab in zip(factors(spec), tau.labels):
-        if f.family in ("circle", "u") and lab.weight[0] != 0 and len(set(lab.weight)) == 1:
-            chars.append((f, lab.weight[0]))
-            lab = trivial(f.family, f.rank)
-        labels.append(lab)
-    return (TauSpec(spec, tuple(labels)) if chars else tau), tuple(chars)
+    chars, labels = [], list(tau.labels)
+    for i, f, trivial in _layout(spec).characters:
+        weight = labels[i].weight
+        if weight[0] and weight.count(weight[0]) == len(weight):
+            chars.append((f, weight[0]))
+            labels[i] = trivial
+    return (TauSpec(spec, labels) if chars else tau), tuple(chars)
 
 
 def _shift(lab: CompositeLabel, chars: tuple) -> CompositeLabel:
     """The label moved by the characters that ``_split_characters`` split
-    off: c on a circle's torus coordinate, (c, ..., c) on a u-slot."""
+    off, one per character slot that carries one: c on a circle's torus
+    coordinate, (c, ..., c) on a u-slot."""
     torus, ulabels = list(lab.torus), list(lab.ulabels)
     for f, c in chars:
         if f.family == "circle":
@@ -268,11 +272,17 @@ def classify(spec: CaseSpec, tau: TauSpec, degree: int | None = None) -> Verdict
         degree = deg_window(spec, free)
     witness_degree, witness, _ = _decide(spec, free, degree)
     if witness_degree is None:
-        return Verdict(False, degree)
+        return _free_verdict(degree)
     if chars:
         witness = _shift(witness, chars)
     recover = partial(_recover, spec, tau, degree, witness)
     return Verdict(True, degree, witness, recover, witness_degree, recover)
+
+
+@lru_cache(maxsize=None)
+def _free_verdict(degree: int) -> Verdict:
+    """The one immutable ``Verdict(False, degree)`` that rows share."""
+    return Verdict(False, degree)
 
 
 def _recover(spec: CaseSpec, tau: TauSpec, degree: int, witness: CompositeLabel) -> dict:
@@ -307,45 +317,42 @@ def _is_constant(weight: tuple[int, ...]) -> bool:
     return len(set(weight)) <= 1
 
 
+_EXPECTED = {ok: ExpectedVerdict(ok) for ok in (False, True)}
+
+
 def expected_verdict(spec: CaseSpec, tau: TauSpec) -> ExpectedVerdict:
-    """The published classification of commutative triples for this family;
-    a case with no row (the II half ``IIh``), or a tau built for another
-    spec, is a ``ValueError``."""
+    """The published classification of commutative triples for this family,
+    read from tau's labels by position, apart from ``_split_characters``; a
+    case with no row (the II half ``IIh``), or a tau built for another spec,
+    is a ``ValueError``.  Every row gets one of two shared values."""
     _check_tau(spec, tau)
-    cid = spec.case_id
-    if cid == "I":
-        sp_label = tau.label("sp")
-        su2 = tau.label("su2")
-        ok = sp_label.is_trivial or (su2.is_trivial and _is_constant(sp_label.weight))
-        return ExpectedVerdict(ok)
-    if cid in ("II", "III", "IV"):
-        return ExpectedVerdict(tau.is_trivial)
-    if cid in ("V", "VI"):
-        return ExpectedVerdict(tau.label("su").is_trivial)
-    if cid == "VII":
+    cid, labels = spec.case_id, tau.labels
+    if cid == "I":  # factors su2, sp
+        ok = labels[1].is_trivial or (labels[0].is_trivial and _is_constant(labels[1].weight))
+    elif cid in ("II", "III", "IV"):
+        ok = tau.is_trivial
+    elif cid in ("V", "VI"):  # factors su, s1
+        ok = labels[0].is_trivial
+    elif cid == "VII":  # factors su2, u, and sp when n > 0
         # the u(k) weight must be a determinant power: for k >= 2 and a
         # non-constant weight mu, the (r, s) = (1, 1) term S^2 + L^2 of the
         # series meets mu + e_1 + e_p (mu_{p-1} > mu_p) twice by Pieri's rule
-        ok = (
-            tau.label("su2").is_trivial
-            and (spec["n"] == 0 or tau.label("sp").is_trivial)
-            and _is_constant(tau.label("u").weight)
-        )
-        return ExpectedVerdict(ok)
-    if cid == "VIII":
+        ok = labels[0].is_trivial and _is_constant(labels[1].weight) and all(l.is_trivial for l in labels[2:])
+    elif cid == "VIII":
         # commutative iff tau lives on the circles and on determinant powers
         # of the u(k_j) factors (the family VII condition, block by block)
         ok = all(
             lab.is_trivial if f.family in ("su", "sp") else _is_constant(lab.weight)
-            for f, lab in zip(factors(spec), tau.labels)
+            for f, lab in zip(factors(spec), labels)
             if f.family != "circle"
         )
-        return ExpectedVerdict(ok)
-    if cid == "IX":
+    elif cid == "IX":
         # every tau: Sym^r (x) tau is multiplicity free by Pieri's rule, and
         # its constituents have weight sum |tau| + r, so distinct r never meet
-        return ExpectedVerdict(True)
-    raise ValueError(f"no reference row for case {cid!r}")
+        ok = True
+    else:
+        raise ValueError(f"no reference row for case {cid!r}")
+    return _EXPECTED[ok]
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ class IrrepLabel(ValidatedTuple, _IrrepFields):
 
     @property
     def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.weight)
+        return not any(self.weight)
 
     def weight_size(self) -> int:
         return sum(abs(x) for x in self.weight)

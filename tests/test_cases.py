@@ -69,6 +69,44 @@ def test_case_spec_validation():
         case_spec("I", n=2, k=3)
 
 
+@pytest.mark.parametrize(
+    "case_id, kwargs",
+    [
+        ("I", {"n": 2.9}),
+        ("I", {"n": "3"}),
+        ("I", {"n": True}),
+        ("VIII", {"m": (3.7,)}),
+        ("VIII", {"kn": ((1.2, 0),)}),
+    ],
+)
+def test_case_spec_refuses_a_parameter_that_is_not_an_int(case_id, kwargs):
+    # int() would truncate or convert these: I(n=2.9) would be I(n=2)
+    with pytest.raises(ValueError, match="must be an int"):
+        case_spec(case_id, **kwargs)
+
+
+def test_every_case_spec_construction_path_validates():
+    spec = case_spec("VIII", m=(3,), kn=((1, 0),))
+    assert repr(spec) == "CaseSpec(case_id='VIII', params=(('kn', ((1, 0),)), ('m', (3,))))"
+    assert str(spec) == "VIII(kn=((1, 0),), m=(3,))" and spec["m"] == (3,)
+    assert hash(spec) == hash(("VIII", (("kn", ((1, 0),)), ("m", (3,)))))
+    bad = [
+        lambda: CaseSpec("I", (("n", 2.0),)),
+        lambda: CaseSpec._make(("I", (("n", "2"),))),
+        lambda: spec._replace(params=(("kn", ((1, False),)), ("m", (3,)))),
+        lambda: spec._replace(params=(("kn", ()), ("m", [3]))),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13
+        bad.append(lambda: copy.replace(spec, params=(("m", (3.5,)),)))
+    for make in bad:
+        with pytest.raises(ValueError, match="must be an int"):
+            make()
+    # the private II half is built directly, and every copy is a CaseSpec
+    half = CaseSpec("IIh", (("k", 1),))
+    for back in (CaseSpec._make(half), half._replace(), copy.deepcopy(half), pickle.loads(pickle.dumps(half))):
+        assert back == half and type(back) is CaseSpec and back["k"] == 1
+
+
 def test_factor_layout():
     spec = case_spec("VIII", m=(3,), kn=((2, 1),))
     keys = [f.key for f in factors(spec)]

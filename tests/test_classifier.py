@@ -861,6 +861,22 @@ BEYOND_GRID_SPECS = (
 )
 
 
+def test_expected_verdict_ignores_characters():
+    # the table reads circle weights and determinant powers of u(k) as
+    # characters, on its own: every bound-2 row of the grid and the shapes
+    # beyond it (2,596 of the 3,619 carry a character) gets the answer of
+    # its row with those factors trivial
+    rows = 0
+    for spec in default_grid() + list(BEYOND_GRID_SPECS):
+        for tau in tau_candidates(spec, 2):
+            keys = {f.key for f, _ in _tau_characters(spec, tau)}
+            kept = {k: tuple(w) for k, w in tau.to_json().items() if k not in keys}
+            free = tau_spec(spec, **kept)
+            assert expected_verdict(spec, tau) == expected_verdict(spec, free), (str(spec), str(tau))
+            rows += free != tau
+    assert rows == 2596
+
+
 def test_beyond_grid_consistent():
     # the bound-2, degree-6 sweep of shapes outside default_grid(); a row that
     # is not CONSISTENT is a finding to derive, never a spec to drop
@@ -1089,10 +1105,10 @@ def test_unread_witness_verdicts_pickle(monkeypatch):
 
 
 def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
-    # cases.blocks is not memoised: its callers are, per spec or per (spec,
-    # degree), so a sweep reads each spec's layout a few times, never per row;
-    # the layouts read are the swept specs' and, through the factors of each
-    # block's piece of tau, their blocks'
+    # cases.blocks is not memoised: the layout record (cases._layout) that
+    # reads it is, per spec, so a sweep reads each spec's blocks once, never
+    # per row; the layouts read are the swept specs' and, through the factors
+    # of each block's piece of tau, their blocks'
     calls = Counter()
     real = cases_mod.blocks
 
@@ -1101,13 +1117,13 @@ def test_sweep_reads_block_layouts_per_spec_not_per_row(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(cases_mod, "blocks", counted)
-    memos = (factors, omega_entries, cases_mod._block_positions, classify_mod._decide)
+    memos = (cases_mod._layout, omega_entries, classify_mod._decide)
     for memo in memos:
         memo.cache_clear()
     rows = [row for spec in CHARACTER_SPECS for row in sweep(spec, 2, 6)]
     assert len(rows) == 1151
     swept = {b for spec in CHARACTER_SPECS for b, _ in real(spec)} | set(CHARACTER_SPECS)
-    assert set(calls) == swept and max(calls.values()) <= 3
+    assert set(calls) == swept and max(calls.values()) == 1
 
 
 def test_reference_sweep_decides_each_character_free_row_once(monkeypatch):
@@ -1115,7 +1131,9 @@ def test_reference_sweep_decides_each_character_free_row_once(monkeypatch):
     # character-free tau, degree) keys, which with their block pieces make
     # 258 distinct decisions: each is cut into its blocks once and decided
     # once, from empty memos, and the 165 of them that are single blocks
-    # each scan their series once
+    # each scan their series once; one layout record is built per swept
+    # spec and one for the II half su(2) x sp(1), the one block that is not
+    # a swept spec itself
     calls = Counter()
     real = classify_mod.block_pieces
     scans = Counter()
@@ -1131,7 +1149,7 @@ def test_reference_sweep_decides_each_character_free_row_once(monkeypatch):
 
     monkeypatch.setattr(classify_mod, "block_pieces", counted)
     monkeypatch.setattr(classify_mod, "product_terms", counted_terms)
-    memos = (factors, omega_entries, cases_mod._block_positions, classify_mod._decide)
+    memos = (cases_mod._layout, omega_entries, classify_mod._decide)
     for memo in memos:
         memo.cache_clear()
     irreps_mod.clear_caches()
@@ -1141,6 +1159,27 @@ def test_reference_sweep_decides_each_character_free_row_once(monkeypatch):
     info = classify_mod._decide.cache_info()
     assert info.misses == info.currsize == 258
     assert sum(scans.values()) == len(scans) == 165
+    layouts = cases_mod._layout.cache_info()
+    assert layouts.misses == layouts.currsize == len(default_grid()) + 1
+
+
+def test_multiplicity_free_rows_share_one_verdict_per_degree():
+    # every multiplicity-free row at one degree returns the same immutable
+    # Verdict, and dataclasses.replace still makes an equal copy of it and
+    # of its row; a row with no character is decided with tau itself
+    spec, other = case_spec("IX", n=2), case_spec("I", n=2)
+    a = cross_check(spec, tau_spec(spec, u=(1, 0)), 6)
+    b = cross_check(other, tau_spec(other, sp=(1, 1)), 6)
+    assert a.verdict is b.verdict == Verdict(False, 6)
+    assert classify(spec, tau_spec(spec, u=(1, 0)), 7) == Verdict(False, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.verdict.degree_bound = 7
+    for value in (a.verdict, a):
+        copied = dataclasses.replace(value)
+        assert copied == value and copied is not value
+    tau = tau_spec(other, sp=(1,))
+    assert classify_mod._split_characters(other, tau) == (tau, ())
+    assert classify_mod._split_characters(other, tau)[0] is tau
 
 
 def test_vii_u_condition_derivation():
